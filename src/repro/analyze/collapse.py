@@ -26,13 +26,13 @@ faults.  This pass computes, purely statically over the levelized netlist:
   smaller representative set.  :func:`audit_expansion` remains as the
   independent spot-check of the raw proposals.
 
-Unlike :func:`repro.faults.collapse.representative_map` — which only
-unions faults that are both present in the given list — this pass unions
-through *off-universe* sites as well (equivalence is transitive, so two
-input-pin faults may be equivalent via an output-line fault nobody asked
-to simulate).  That is what lets the transition-fault universe, which has
-no output-line faults at all, still collapse through inverter and buffer
-chains.
+The union runs through *off-universe* sites as well (equivalence is
+transitive, so two input-pin faults may be equivalent via an output-line
+fault nobody asked to simulate).  That is what lets the transition-fault
+universe, which has no output-line faults at all, still collapse through
+inverter and buffer chains.  The same stuck-at union and smallest-member
+pick build the default simulation universe
+(:func:`repro.faults.universe.stuck_at_universe`).
 
 Faults are never merged across flip-flop boundaries: a D-pin fault is
 observed one cycle later than the matching Q fault, and the simulators
@@ -114,7 +114,7 @@ def _single_loads(circuit: Circuit) -> List[Tuple[int, int, int]]:
     return edges
 
 
-def _stuck_at_union(circuit: Circuit) -> _UnionFind:
+def stuck_at_union(circuit: Circuit) -> _UnionFind:
     """Equivalence union over every structural stuck-at site."""
     uf = _UnionFind()
     for gate in circuit.gates:
@@ -143,6 +143,18 @@ def _stuck_at_union(circuit: Circuit) -> _UnionFind:
                 StuckAtFault.make(sink_gate, sink_pin, value),
             )
     return uf
+
+
+def pick_representatives(uf: _UnionFind, faults: Iterable[Fault]) -> Dict[Fault, Fault]:
+    """Map each fault to the smallest member of its class among *faults*."""
+    faults = list(faults)
+    best_of_root: Dict[Fault, Fault] = {}
+    for fault in faults:
+        root = uf.find(fault)
+        best = best_of_root.get(root)
+        if best is None or fault < best:
+            best_of_root[root] = fault
+    return {fault: best_of_root[uf.find(fault)] for fault in faults}
 
 
 def _transition_union(circuit: Circuit) -> _UnionFind:
@@ -440,14 +452,8 @@ def collapse_universe(
         universe = list(faults)
     universe = sorted(set(universe))
 
-    uf = _transition_union(circuit) if transition else _stuck_at_union(circuit)
-    best_of_root: Dict[Fault, Fault] = {}
-    for fault in universe:
-        root = uf.find(fault)
-        best = best_of_root.get(root)
-        if best is None or fault < best:
-            best_of_root[root] = fault
-    rep_of = {fault: best_of_root[uf.find(fault)] for fault in universe}
+    uf = _transition_union(circuit) if transition else stuck_at_union(circuit)
+    rep_of = pick_representatives(uf, universe)
 
     implied_by: Dict[Fault, Tuple[Fault, ...]] = {}
     if mode == "dominance" and not transition:

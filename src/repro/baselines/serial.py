@@ -227,11 +227,17 @@ def simulate_serial_transition(
     vectors: Sequence[Sequence[int]],
     faults: Optional[Iterable[TransitionFault]] = None,
     drop_detected: bool = True,
+    budget=None,
 ) -> FaultSimResult:
-    """Serial reference for the transition-fault model (Section 3)."""
+    """Serial reference for the transition-fault model (Section 3).
+
+    A ``budget`` bounds the run by wall clock, checked between faulty
+    machines, exactly as in :func:`simulate_serial`.
+    """
     fault_list = (
         sorted(faults) if faults is not None else all_transition_faults(circuit)
     )
+    clock = budget.start() if budget else None
     start = time.perf_counter()
     counters = WorkCounters()
 
@@ -244,7 +250,13 @@ def simulate_serial_transition(
 
     detected: Dict[Fault, int] = {}
     potential: Dict[Fault, int] = {}
+    truncation_reason = None
     for fault in fault_list:
+        if clock is not None:
+            breach = clock.check(0, 0)  # wall clock is the only serial axis
+            if breach is not None:
+                truncation_reason = breach.describe()
+                break
         machine = _SerialTransitionMachine(circuit, fault)
         for cycle, vector in enumerate(vectors, start=1):
             outputs = machine.step(vector)
@@ -271,4 +283,6 @@ def simulate_serial_transition(
         counters=counters,
         memory=MemoryStats(num_descriptors=len(fault_list)),
         wall_seconds=time.perf_counter() - start,
+        truncated=truncation_reason is not None,
+        truncation_reason=truncation_reason,
     )

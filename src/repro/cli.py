@@ -44,17 +44,11 @@ from repro.circuit.stats import circuit_stats
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.reporting import format_table
-from repro.harness.runner import (
-    ENGINE_NAMES,
-    WORD_ENGINES,
-    engine_options,
-    run_stuck_at,
-    run_transition,
-)
 from repro.parallel.sharding import STRATEGIES
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import format_vectors, parse_vectors
+from repro.plan import ENGINE_NAMES, RunPlan, execute, sanitized_options
 from repro.robust import (
     Budget,
     CampaignInterrupted,
@@ -62,7 +56,6 @@ from repro.robust import (
     TableCampaign,
     VECTOR_LADDER,
     config_fingerprint,
-    run_checkpointed,
     run_with_ladder,
 )
 
@@ -100,23 +93,21 @@ def _parallel_trace_dir(args) -> Optional[str]:
 class _CliTrace:
     """Root-span bookkeeping for a traced parallel CLI run.
 
-    The CLI is the trace's entry point, so it mints the
-    :class:`~repro.obs.TraceContext` whose root span id *is* the trace id
-    and emits the root span around the whole run; the campaign and shard
-    workers parent everything under it.
+    The CLI is the trace's entry point: the plan mints the
+    :class:`~repro.obs.TraceContext` whose root span id *is* the trace id,
+    and this emits the root span around the whole run; the campaign and
+    shard workers parent everything under it.
     """
 
-    def __init__(self, trace_dir: Optional[str]) -> None:
-        self.trace_dir = trace_dir
-        self.ctx = None
+    def __init__(self, trace_dir: Optional[str], ctx) -> None:
+        self.ctx = ctx
         self._writer = None
         self._start = 0.0
         if trace_dir is not None:
             import time
 
-            from repro.obs import SpanWriter, TraceContext
+            from repro.obs import SpanWriter
 
-            self.ctx = TraceContext.new_trace()
             self._writer = SpanWriter(trace_dir, label="cli")
             self._start = time.time()
 
@@ -226,21 +217,6 @@ def _check_robust_args(args) -> None:
         raise ValueError("--resume requires --checkpoint FILE")
 
 
-def _checked_word_width(args):
-    """Validate ``--word-width`` against the engine; None when unset."""
-    width = getattr(args, "word_width", None)
-    if width is None:
-        return None
-    from repro.vector.packing import validate_word_width
-
-    if args.engine not in WORD_ENGINES:
-        raise ValueError(
-            f"--word-width only applies to the word-packed engines "
-            f"{WORD_ENGINES}, not {args.engine!r}"
-        )
-    return validate_word_width(width)
-
-
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -255,13 +231,6 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         default="round-robin",
         help="fault partition strategy under --jobs (default round-robin)",
     )
-
-
-def _check_parallel_args(args) -> None:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    if args.jobs > 1 and getattr(args, "ladder", False):
-        raise ValueError("--ladder audits a single engine; use --jobs 1")
 
 
 def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
@@ -346,15 +315,12 @@ def _expand_result(circuit, tests, collapsed, result):
     """
     if collapsed is None:
         return result
-    if collapsed.implied_by:
-        from repro.analyze import expand_verified
+    from repro.analyze import expand_verified
 
-        expanded, report = expand_verified(
-            circuit, tests.vectors, collapsed, result
-        )
+    expanded, report = expand_verified(circuit, tests.vectors, collapsed, result)
+    if collapsed.implied_by:
         print(f"# {report.summary()}", file=sys.stderr)
-        return expanded
-    return collapsed.expand(result)
+    return expanded
 
 
 def _add_test_args(parser: argparse.ArgumentParser) -> None:
@@ -441,181 +407,91 @@ def cmd_lint(args) -> int:
     return 1 if has_findings(diagnostics, fail_on=args.fail_on) else 0
 
 
-def cmd_simulate(args) -> int:
-    _check_robust_args(args)
-    _check_parallel_args(args)
-    word_width = _checked_word_width(args)
+def plan_from_args(args, transition: bool):
+    """Lower ``simulate``/``transition`` flags to a :class:`RunPlan`.
+
+    Loads the circuit and tests the flags name and resolves
+    ``--prune-untestable``/``--collapse`` into the fault list; returns
+    ``(plan, collapsed)`` where ``collapsed`` is the expansion map the
+    finished result goes through (``None`` without ``--collapse``).
+    """
     circuit = load(args.circuit, scale=args.scale)
     tests = _load_tests(args, circuit)
-    tracer = _make_tracer(args)
-    budget = _make_budget(args)
-    faults, collapsed = _analysis_faults(args, circuit, transition=False)
-    fingerprint_extra = (
-        collapsed.fingerprint_material() if collapsed is not None else ()
+    faults, collapsed = _analysis_faults(args, circuit, transition=transition)
+    engine = "csim-MV" if transition else args.engine
+    trace_dir = _parallel_trace_dir(args)
+    plan = RunPlan(
+        circuit,
+        tests,
+        faults,
+        engine=engine,
+        transition=transition,
+        options=sanitized_options(engine, transition) if args.sanitize else None,
+        word_width=getattr(args, "word_width", None),
+        budget=_make_budget(args),
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        checkpoint_every=args.checkpoint_every,
+        fingerprint_extra=(
+            collapsed.fingerprint_material() if collapsed is not None else ()
+        ),
+        jobs=args.jobs,
+        shard_strategy=args.shard_strategy,
+        telemetry=bool(args.trace or args.profile),
+        trace_dir=trace_dir,
+        record_events=trace_dir is not None,
     )
-    options = None
-    if args.sanitize:
-        if args.ladder:
-            raise ValueError(
-                "--ladder picks its own engines; --sanitize needs a fixed one"
-            )
-        base = engine_options(args.engine)
-        if base is None:
-            raise ValueError(
-                f"--sanitize requires a concurrent engine (csim*), not {args.engine!r}"
-            )
-        options = base.with_(sanitize=True)
-    cli_trace = _CliTrace(_parallel_trace_dir(args))
-    if args.ladder:
-        if args.checkpoint:
-            raise ValueError("--ladder and --checkpoint are mutually exclusive")
+    return plan, collapsed
+
+
+def cmd_simulate(args) -> int:
+    return _run_campaign(args, transition=False)
+
+
+def cmd_transition(args) -> int:
+    return _run_campaign(args, transition=True)
+
+
+def _run_campaign(args, transition: bool) -> int:
+    _check_robust_args(args)
+    ladder = getattr(args, "ladder", False)
+    if ladder and args.jobs > 1:
+        raise ValueError("--ladder audits a single engine; use --jobs 1")
+    if ladder and args.sanitize:
+        raise ValueError("--ladder picks its own engines; --sanitize needs a fixed one")
+    if ladder and args.checkpoint:
+        raise ValueError("--ladder and --checkpoint are mutually exclusive")
+    plan, collapsed = plan_from_args(args, transition)
+    circuit, tests = plan.circuit, plan.tests
+    tracer = _make_tracer(args)
+    cli_trace = _CliTrace(plan.trace_dir, plan.trace_ctx)
+    if ladder:
         # --engine vsim puts the vector kernel on top as the fast rung;
         # any other engine choice keeps the default csim-MV-first ladder.
         result = run_with_ladder(
             circuit,
             tests,
             VECTOR_LADDER if args.engine == "vsim" else DEFAULT_LADDER,
-            faults=faults,
+            faults=plan.faults,
             tracer=tracer,
-            budget=budget,
-            word_width=word_width,
-        )
-    elif args.checkpoint and args.jobs > 1:
-        from repro.parallel import run_parallel
-
-        result = run_parallel(
-            circuit,
-            tests,
-            args.engine,
-            faults=faults,
-            options=options,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            budget=budget,
-            telemetry=args.profile,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-            word_width=word_width,
-            fingerprint_extra=fingerprint_extra,
-        )
-    elif args.checkpoint:
-        result = run_checkpointed(
-            circuit,
-            tests,
-            args.engine,
-            faults=faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            word_width=word_width,
-            fingerprint_extra=fingerprint_extra,
+            budget=plan.budget,
+            word_width=plan.word_width,
         )
     else:
-        result = run_stuck_at(
-            circuit,
-            tests,
-            args.engine,
-            faults=faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-            word_width=word_width,
+        result = execute(plan, tracer)
+    if transition:
+        cli_trace.finish(f"transition {circuit.name}", jobs=args.jobs)
+    else:
+        cli_trace.finish(
+            f"simulate {circuit.name}", engine=args.engine, jobs=args.jobs
         )
-    cli_trace.finish(
-        f"simulate {circuit.name}", engine=args.engine, jobs=args.jobs
-    )
     result = _expand_result(circuit, tests, collapsed, result)
     print(result.summary())
-    if args.verbose:
+    if getattr(args, "verbose", False):
         from repro.faults.model import fault_name
 
         for fault, cycle in sorted(result.detected.items(), key=lambda kv: kv[1]):
             print(f"  cycle {cycle:5}: {fault_name(circuit, fault)}")
-    _emit_observability(args, result, circuit, tracer)
-    return 0
-
-
-def cmd_transition(args) -> int:
-    _check_robust_args(args)
-    _check_parallel_args(args)
-    circuit = load(args.circuit, scale=args.scale)
-    tests = _load_tests(args, circuit)
-    tracer = _make_tracer(args)
-    budget = _make_budget(args)
-    faults, collapsed = _analysis_faults(args, circuit, transition=True)
-    fingerprint_extra = (
-        collapsed.fingerprint_material() if collapsed is not None else ()
-    )
-    options = None
-    if args.sanitize:
-        from repro.concurrent.options import SimOptions
-
-        options = SimOptions(split_lists=True, sanitize=True)
-    cli_trace = _CliTrace(_parallel_trace_dir(args))
-    if args.checkpoint and args.jobs > 1:
-        from repro.parallel import run_parallel
-
-        result = run_parallel(
-            circuit,
-            tests,
-            transition=True,
-            faults=faults,
-            options=options,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            budget=budget,
-            telemetry=args.profile,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-            fingerprint_extra=fingerprint_extra,
-        )
-    elif args.checkpoint:
-        result = run_checkpointed(
-            circuit,
-            tests,
-            transition=True,
-            faults=faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            fingerprint_extra=fingerprint_extra,
-        )
-    else:
-        result = run_transition(
-            circuit,
-            tests,
-            faults=faults,
-            tracer=tracer,
-            budget=budget,
-            jobs=args.jobs,
-            shard_strategy=args.shard_strategy,
-            sanitize=args.sanitize,
-            trace_dir=cli_trace.trace_dir,
-            trace_ctx=cli_trace.ctx,
-            record_events=cli_trace.trace_dir is not None,
-        )
-    cli_trace.finish(f"transition {circuit.name}", jobs=args.jobs)
-    result = _expand_result(circuit, tests, collapsed, result)
-    print(result.summary())
     _emit_observability(args, result, circuit, tracer)
     return 0
 
@@ -647,53 +523,10 @@ def _parse_failures(kind: str, text: str):
     return parse_observed(kind, items)
 
 
-def _dictionary_for(args, circuit, tests):
-    """The query's dictionary: the ``--dictionary`` artifact if it exists,
-    else a fresh build — written back to the artifact path when given."""
+def _build_dictionary_blob(args, circuit, tests) -> bytes:
+    """Build the ``repro-dict/1`` artifact the dictionary flags describe."""
     from repro.diagnosis import build_responses
-    from repro.diagnosis.store import (
-        decode_dictionary,
-        encode_dictionary,
-        read_dictionary,
-        write_dictionary,
-    )
-
-    path = getattr(args, "dictionary", None)
-    if path and os.path.exists(path):
-        print(f"# dictionary: loaded from {path}", file=sys.stderr)
-        return decode_dictionary(read_dictionary(path), kind=args.kind)
-    collapse = None if args.no_collapse else "equivalence"
-    responses = build_responses(
-        circuit,
-        tests,
-        kind=args.kind,
-        engine=args.engine,
-        collapse=collapse,
-        jobs=args.jobs,
-        shard_strategy=args.shard_strategy,
-        checkpoint_path=getattr(args, "checkpoint", None),
-        resume=getattr(args, "resume", False),
-        checkpoint_every=getattr(args, "checkpoint_every", 64),
-        budget=_make_budget(args) if hasattr(args, "max_seconds") else None,
-        word_width=_checked_word_width(args),
-    )
-    blob = encode_dictionary(
-        circuit.name, len(tests), responses, args.kind, collapse=collapse
-    )
-    if path:
-        write_dictionary(path, blob)
-        print(f"# dictionary: built and written to {path}", file=sys.stderr)
-    return decode_dictionary(blob)
-
-
-def cmd_build_dictionary(args) -> int:
-    """Build a fault dictionary and write it as a ``repro-dict/1`` artifact."""
-    _check_robust_args(args)
-    _check_parallel_args(args)
-    circuit = load(args.circuit, scale=args.scale)
-    tests = _load_tests(args, circuit)
-    from repro.diagnosis import build_responses
-    from repro.diagnosis.store import encode_dictionary, read_manifest, write_dictionary
+    from repro.diagnosis.store import encode_dictionary
 
     collapse = None if args.no_collapse else "equivalence"
     responses = build_responses(
@@ -708,11 +541,37 @@ def cmd_build_dictionary(args) -> int:
         resume=args.resume,
         checkpoint_every=args.checkpoint_every,
         budget=_make_budget(args),
-        word_width=_checked_word_width(args),
+        word_width=getattr(args, "word_width", None),
     )
-    blob = encode_dictionary(
+    return encode_dictionary(
         circuit.name, len(tests), responses, args.kind, collapse=collapse
     )
+
+
+def _dictionary_for(args, circuit, tests):
+    """The query's dictionary: the ``--dictionary`` artifact if it exists,
+    else a fresh build — written back to the artifact path when given."""
+    from repro.diagnosis.store import decode_dictionary, read_dictionary, write_dictionary
+
+    path = getattr(args, "dictionary", None)
+    if path and os.path.exists(path):
+        print(f"# dictionary: loaded from {path}", file=sys.stderr)
+        return decode_dictionary(read_dictionary(path), kind=args.kind)
+    blob = _build_dictionary_blob(args, circuit, tests)
+    if path:
+        write_dictionary(path, blob)
+        print(f"# dictionary: built and written to {path}", file=sys.stderr)
+    return decode_dictionary(blob)
+
+
+def cmd_build_dictionary(args) -> int:
+    """Build a fault dictionary and write it as a ``repro-dict/1`` artifact."""
+    _check_robust_args(args)
+    circuit = load(args.circuit, scale=args.scale)
+    tests = _load_tests(args, circuit)
+    from repro.diagnosis.store import read_manifest, write_dictionary
+
+    blob = _build_dictionary_blob(args, circuit, tests)
     write_dictionary(args.output, blob)
     manifest = read_manifest(blob)
     print(
@@ -731,7 +590,6 @@ def cmd_diagnose(args) -> int:
     to what ``POST /diagnose`` returns for the same query.
     """
     _check_robust_args(args)
-    _check_parallel_args(args)
     circuit = load(args.circuit, scale=args.scale)
     tests = _load_tests(args, circuit)
     from repro.diagnosis.store import diagnosis_report

@@ -4,10 +4,9 @@ A fault dictionary is the precomputed map from each modelled fault to the
 response a tester would observe from a device carrying it.  Building one
 needs *full* fault simulation — every fault simulated against every vector
 with no fault dropping — which is exactly the workload the paper's engine
-makes affordable.  The builder is the standard harness
-(:func:`repro.harness.runner.run_stuck_at` /
-:func:`repro.parallel.runner.run_parallel`) in ``record_responses`` mode,
-so every campaign facility applies uniformly: engine choice across the
+makes affordable.  The builder is a :class:`repro.plan.RunPlan` in
+``record_responses`` mode, run by :func:`repro.plan.execute`, so every
+campaign facility applies uniformly: engine choice across the
 ladder (every engine produces bit-identical response maps), fault
 sharding over worker processes, budgets, tracers, and per-shard
 checkpoints — a build killed mid-flight resumes instead of recomputing.
@@ -36,7 +35,7 @@ tester comparison against an X is not reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
@@ -47,6 +46,7 @@ from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault, StuckAtFault
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.patterns.vectors import TestSequence
+from repro.plan import RunPlan, execute
 from repro.result import Failure
 
 #: Recognised dictionary formats.
@@ -198,41 +198,23 @@ def build_responses(
         collapsed = collapse_universe(circuit, universe, mode=collapse)
         simulate_faults = list(collapsed.representatives)
         fingerprint_extra = fingerprint_extra + collapsed.fingerprint_material()
-
-    if checkpoint_path is not None or jobs > 1:
-        from repro.parallel.runner import run_parallel
-
-        result = run_parallel(
-            circuit,
-            tests,
-            engine,
-            faults=simulate_faults,
-            options=options,
-            jobs=jobs,
-            shard_strategy=shard_strategy,
-            budget=budget,
-            telemetry=tracer is not None,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            checkpoint_every=checkpoint_every,
-            word_width=word_width,
-            record_responses=True,
-            fingerprint_extra=fingerprint_extra,
-        )
-    else:
-        from repro.harness.runner import run_stuck_at
-
-        result = run_stuck_at(
-            circuit,
-            tests,
-            engine,
-            faults=simulate_faults,
-            options=options,
-            tracer=tracer,
-            budget=budget,
-            word_width=word_width,
-            record_responses=True,
-        )
+    plan = RunPlan(
+        circuit,
+        tests,
+        tuple(simulate_faults),
+        engine=engine,
+        options=options,
+        word_width=word_width,
+        record_responses=True,
+        budget=budget,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        checkpoint_every=checkpoint_every,
+        fingerprint_extra=fingerprint_extra,
+        jobs=jobs,
+        shard_strategy=shard_strategy,
+    )
+    result = execute(plan, tracer)
     if result.truncated:
         raise DictionaryBuildTruncated(
             f"dictionary build stopped early ({result.truncation_reason}); "
@@ -251,50 +233,25 @@ def build_dictionary(
     faults: Optional[Iterable[StuckAtFault]] = None,
     kind: str = "full",
     options: Optional[SimOptions] = None,
-    *,
-    engine: str = "csim-MV",
-    collapse: Optional[str] = "equivalence",
-    jobs: int = 1,
-    shard_strategy: str = "round-robin",
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    checkpoint_every: int = 64,
-    budget: Optional["Budget"] = None,
-    tracer: Optional["Tracer"] = None,
-    word_width: Optional[int] = None,
+    **campaign: Any,
 ) -> FaultDictionary:
     """Simulate the universe without dropping and assemble a dictionary.
 
     ``kind``: ``"full"`` for (cycle, output) resolution, ``"passfail"``
     for failing-cycle resolution.  ``faults`` defaults to the full
-    structural stuck-at universe.
+    structural stuck-at universe.  The keyword-only ``campaign`` options
+    are :func:`build_responses`'s.
 
     ``collapse="equivalence"`` (the default) simulates only equivalence
     representatives and expands their responses exactly onto every class
     member; pass ``collapse=None`` to simulate the universe verbatim.
     Both produce bit-identical dictionaries.  ``engine`` is any stuck-at
-    engine in the ladder (:data:`repro.harness.runner.ENGINE_NAMES`);
-    ``jobs`` shards the build over worker processes; ``checkpoint_path``
-    arms durable per-shard progress so a killed build resumes (pass
-    ``resume=True`` on the retry).  A budget-truncated build raises
+    engine in the ladder (:data:`repro.plan.ENGINE_NAMES`); ``jobs``
+    shards the build over worker processes; ``checkpoint_path`` arms
+    durable progress so a killed build resumes (pass ``resume=True`` on
+    the retry).  A budget-truncated build raises
     :class:`DictionaryBuildTruncated` rather than returning a dictionary
     with silently incomplete signatures.
     """
-    responses = build_responses(
-        circuit,
-        tests,
-        faults,
-        kind,
-        options,
-        engine=engine,
-        collapse=collapse,
-        jobs=jobs,
-        shard_strategy=shard_strategy,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
-        budget=budget,
-        tracer=tracer,
-        word_width=word_width,
-    )
+    responses = build_responses(circuit, tests, faults, kind, options, **campaign)
     return assemble_dictionary(circuit.name, len(tests), responses, kind)

@@ -101,7 +101,7 @@ def explain_fault(
     is a fault-list concept) with response recording on, so the chain and
     the observed failures come from one simulation.
     """
-    from repro.harness.runner import engine_options, make_stuck_at_simulator
+    from repro.plan import engine_options, make_simulator
     from repro.obs.tracer import RecordingTracer
 
     if engine_options(engine) is None:
@@ -110,7 +110,7 @@ def explain_fault(
             f"stream; {engine!r} does not provide one"
         )
     tracer = RecordingTracer(record_events=True)
-    simulator = make_stuck_at_simulator(
+    simulator = make_simulator(
         circuit, engine, [fault], tracer=tracer, record_responses=True
     )
     result = simulator.run(tests)

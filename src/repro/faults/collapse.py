@@ -1,23 +1,13 @@
 """Structural equivalence collapsing of stuck-at faults.
 
 Two faults are equivalent when every test for one detects the other; the
-classic structural rules capture the gate-local cases:
-
-* AND: any input ``s-a-0`` ≡ output ``s-a-0`` (NAND: ≡ output ``s-a-1``);
-* OR: any input ``s-a-1`` ≡ output ``s-a-1`` (NOR: ≡ output ``s-a-0``);
-* NOT: input ``s-a-v`` ≡ output ``s-a-(1-v)``; BUF: input ``s-a-v`` ≡
-  output ``s-a-v``;
-* stem/branch: when a gate drives exactly one input pin and is not itself a
-  primary output, its output faults are equivalent to that pin's faults.
-
-Collapsing is pure bookkeeping — a union-find over the fault universe —
-but it is what makes the paper's fault counts (Table 2) and coverage
-denominators meaningful, and it shrinks every simulator's workload.
-
-Faults are never collapsed across flip-flops: a D-pin fault is observed one
-cycle later than the equivalent Q fault, so their detection *times* differ
-even though their detection sets coincide, and the paper's simulators report
-first-detection times.
+classic structural rules capture the gate-local cases (AND/NAND/OR/NOR
+controlling-value inputs, NOT and BUF pins, singly-loaded stems folded
+into their branch), never across a flip-flop.  The rules live in one
+place, :mod:`repro.analyze.collapse`; this module keeps each class's
+smallest member, which is what makes the paper's fault counts (Table 2)
+and coverage denominators meaningful and every simulator's workload
+smaller.
 """
 
 from __future__ import annotations
@@ -25,36 +15,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.circuit.netlist import Circuit
-from repro.faults.model import OUTPUT_PIN, StuckAtFault
-from repro.logic.tables import GateType
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[StuckAtFault, StuckAtFault] = {}
-
-    def add(self, item: StuckAtFault) -> None:
-        self._parent.setdefault(item, item)
-
-    def find(self, item: StuckAtFault) -> StuckAtFault:
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, left: StuckAtFault, right: StuckAtFault) -> None:
-        self._parent[self.find(left)] = self.find(right)
-
-
-#: Controlling input value and the equivalent output value, per gate type.
-_GATE_RULES = {
-    GateType.AND: (0, 0),
-    GateType.NAND: (0, 1),
-    GateType.OR: (1, 1),
-    GateType.NOR: (1, 0),
-}
+from repro.faults.model import StuckAtFault
 
 
 def representative_map(
@@ -65,71 +26,16 @@ def representative_map(
     The representative of each class is its smallest member under the fault
     ordering (gate index, pin, kind), which makes results deterministic.
     """
-    uf = _UnionFind()
-    in_universe = set(faults)
-    for fault in faults:
-        uf.add(fault)
+    from repro.analyze.collapse import pick_representatives, stuck_at_union
 
-    def maybe_union(left: StuckAtFault, right: StuckAtFault) -> None:
-        if left in in_universe and right in in_universe:
-            uf.union(left, right)
-
-    for gate in circuit.gates:
-        rule = _GATE_RULES.get(gate.gtype)
-        if rule is not None:
-            controlling, output_value = rule
-            out_fault = StuckAtFault.make(gate.index, OUTPUT_PIN, output_value)
-            for pin in range(gate.arity):
-                maybe_union(StuckAtFault.make(gate.index, pin, controlling), out_fault)
-        elif gate.gtype is GateType.NOT:
-            maybe_union(
-                StuckAtFault.make(gate.index, 0, 0),
-                StuckAtFault.make(gate.index, OUTPUT_PIN, 1),
-            )
-            maybe_union(
-                StuckAtFault.make(gate.index, 0, 1),
-                StuckAtFault.make(gate.index, OUTPUT_PIN, 0),
-            )
-        elif gate.gtype is GateType.BUF:
-            for value in (0, 1):
-                maybe_union(
-                    StuckAtFault.make(gate.index, 0, value),
-                    StuckAtFault.make(gate.index, OUTPUT_PIN, value),
-                )
-
-    # Stem/branch equivalence for singly-loaded, unobserved stems.
-    loads: Dict[int, List] = {gate.index: [] for gate in circuit.gates}
-    for gate in circuit.gates:
-        for pin, source in enumerate(gate.fanin):
-            loads[source].append((gate.index, pin))
-    for gate in circuit.gates:
-        pins = loads[gate.index]
-        if len(pins) != 1 or gate.is_output:
-            continue
-        sink_gate, sink_pin = pins[0]
-        if circuit.gates[sink_gate].gtype is GateType.DFF:
-            continue  # never collapse across a flip-flop boundary
-        for value in (0, 1):
-            maybe_union(
-                StuckAtFault.make(gate.index, OUTPUT_PIN, value),
-                StuckAtFault.make(sink_gate, sink_pin, value),
-            )
-
-    best_of_root: Dict[StuckAtFault, StuckAtFault] = {}
-    for fault in faults:
-        root = uf.find(fault)
-        best = best_of_root.get(root)
-        if best is None or fault < best:
-            best_of_root[root] = fault
-    return {fault: best_of_root[uf.find(fault)] for fault in faults}
+    return pick_representatives(stuck_at_union(circuit), faults)
 
 
 def collapse_stuck_at(
     circuit: Circuit, faults: List[StuckAtFault]
 ) -> List[StuckAtFault]:
     """Collapse *faults* by structural equivalence; returns representatives."""
-    reps = representative_map(circuit, faults)
-    return sorted(set(reps.values()))
+    return sorted(set(representative_map(circuit, faults).values()))
 
 
 def equivalence_classes(

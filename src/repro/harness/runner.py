@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.baselines.proofs import ProofsSimulator
-from repro.baselines.serial import simulate_serial, simulate_serial_transition
 from repro.circuit.library import load as load_circuit
 from repro.circuit.netlist import Circuit
-from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
-from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.faults.model import StuckAtFault
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import stuck_at_universe
@@ -25,84 +21,19 @@ from repro.obs.tracer import Tracer
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import TestSequence
+from repro.plan import (  # ENGINE_NAMES/WORD_ENGINES re-exported for callers
+    ENGINE_NAMES as ENGINE_NAMES,
+    WORD_ENGINES as WORD_ENGINES,
+    RunPlan,
+    engine_options,
+    execute,
+    make_simulator,
+    sanitized_options,
+)
 from repro.result import FaultSimResult
 
-#: Engine registry: name -> how to run stuck-at simulation with it.
-#: ``vsim`` is the pattern-parallel vector kernel (``csim-V`` was already
-#: taken by the split-lists concurrent variant).
-ENGINE_NAMES = ("csim", "csim-V", "csim-M", "csim-MV", "PROOFS", "vsim", "serial")
-
-#: Engines that take the ``--word-width`` packing knob.
-WORD_ENGINES = ("PROOFS", "vsim")
-
-_OPTIONS_BY_NAME = {
-    "csim": SimOptions(),
-    "csim-V": SimOptions(split_lists=True),
-    "csim-M": SimOptions(use_macros=True),
-    "csim-MV": SimOptions(split_lists=True, use_macros=True),
-}
-
-
-def engine_options(engine: str) -> Optional[SimOptions]:
-    """The :class:`SimOptions` behind a named concurrent variant.
-
-    ``None`` for engines without an options object (``PROOFS``,
-    ``serial``) — callers use this to tell which engines can take
-    option-level knobs such as ``sanitize``.
-    """
-    return _OPTIONS_BY_NAME.get(engine)
-
-
-def make_stuck_at_simulator(
-    circuit: Circuit,
-    engine: str = "csim-MV",
-    faults: Optional[Iterable[StuckAtFault]] = None,
-    options: Optional[SimOptions] = None,
-    tracer: Optional[Tracer] = None,
-    word_width: Optional[int] = None,
-    axis_mode: str = "auto",
-    record_responses: bool = False,
-):
-    """Build the simulator object behind a named stuck-at engine.
-
-    The resilient runner (:mod:`repro.robust.runner`) needs the simulator
-    itself — for ``snapshot()``/``restore()`` and invariant checks — rather
-    than just a finished result; the ``serial`` oracle has no incremental
-    simulator object and is rejected here.  ``word_width`` and
-    ``axis_mode`` only apply to the word-packed engines
-    (:data:`WORD_ENGINES`); other engines ignore them.
-    ``record_responses`` puts any engine into dictionary-building mode
-    (no fault dropping, full per-fault failure responses on the result).
-    """
-    if engine == "serial":
-        raise ValueError("the serial oracle has no incremental simulator object")
-    if options is None:
-        options = _OPTIONS_BY_NAME.get(engine)
-    if options is not None:
-        return ConcurrentFaultSimulator(
-            circuit, faults, options, tracer=tracer,
-            record_responses=record_responses,
-        )
-    if engine == "vsim":
-        from repro.vector.kernel import VectorFaultSimulator
-
-        return VectorFaultSimulator(
-            circuit,
-            faults,
-            word_width=word_width if word_width is not None else 64,
-            axis_mode=axis_mode,
-            tracer=tracer,
-            record_responses=record_responses,
-        )
-    if engine == "PROOFS":
-        return ProofsSimulator(
-            circuit,
-            faults,
-            word_size=word_width if word_width is not None else 64,
-            tracer=tracer,
-            record_responses=record_responses,
-        )
-    raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
+#: The engine factory under its historical name.
+make_stuck_at_simulator = make_simulator
 
 
 def run_stuck_at(
@@ -122,7 +53,7 @@ def run_stuck_at(
     axis_mode: str = "auto",
     record_responses: bool = False,
 ) -> FaultSimResult:
-    """Run one stuck-at engine over *tests*.
+    """Run one stuck-at engine over *tests* (a :class:`repro.plan.RunPlan`).
 
     ``engine`` is one of :data:`ENGINE_NAMES`; an explicit ``options``
     overrides the name lookup for concurrent variants (ablations use this).
@@ -140,35 +71,24 @@ def run_stuck_at(
     (with optional ``record_events``) additionally captures the
     cross-process span trace (see :mod:`repro.obs.span`).
     """
-    if jobs > 1:
-        from repro.parallel.runner import run_parallel
-
-        return run_parallel(
-            circuit,
-            tests,
-            engine,
-            faults=faults,
-            options=options,
-            jobs=jobs,
-            shard_strategy=shard_strategy,
-            budget=budget,
-            telemetry=tracer is not None,
-            trace_dir=trace_dir,
-            trace_ctx=trace_ctx,
-            record_events=record_events,
-            word_width=word_width,
-            record_responses=record_responses,
-        )
-    if engine == "serial" and options is None:
-        return simulate_serial(
-            circuit, tests.vectors, faults, budget=budget, tracer=tracer,
-            record_responses=record_responses,
-        )
-    simulator = make_stuck_at_simulator(
-        circuit, engine, faults, options, tracer, word_width=word_width,
-        axis_mode=axis_mode, record_responses=record_responses,
+    plan = RunPlan(
+        circuit,
+        tests,
+        faults,
+        engine=engine,
+        options=options,
+        word_width=word_width,
+        axis_mode=axis_mode,
+        record_responses=record_responses,
+        budget=budget,
+        jobs=jobs,
+        shard_strategy=shard_strategy,
+        telemetry=tracer is not None,
+        trace_dir=trace_dir,
+        trace_ctx=trace_ctx,
+        record_events=record_events,
     )
-    return simulator.run(tests, budget=budget)
+    return execute(plan, tracer)
 
 
 def run_transition(
@@ -186,31 +106,32 @@ def run_transition(
     trace_ctx=None,
     record_events: bool = False,
 ) -> FaultSimResult:
-    """Run transition-fault simulation (concurrent by default)."""
-    if serial and sanitize:
-        raise ValueError("the serial transition oracle has no fault lists to sanitize")
-    if jobs > 1 and not serial:
-        from repro.parallel.runner import run_parallel
+    """Run transition-fault simulation (concurrent by default).
 
-        return run_parallel(
-            circuit,
-            tests,
-            transition=True,
-            faults=faults,
-            options=SimOptions(split_lists=split_lists, sanitize=sanitize),
-            jobs=jobs,
-            shard_strategy=shard_strategy,
-            budget=budget,
-            telemetry=tracer is not None,
-            trace_dir=trace_dir,
-            trace_ctx=trace_ctx,
-            record_events=record_events,
-        )
+    ``serial`` selects the serial transition oracle instead of the
+    two-pass concurrent engine; everything else composes exactly as in
+    :func:`run_stuck_at`.
+    """
     if serial:
-        return simulate_serial_transition(circuit, tests.vectors, faults)
-    options = SimOptions(split_lists=split_lists, sanitize=sanitize)
-    simulator = TransitionFaultSimulator(circuit, faults, options, tracer=tracer)
-    return simulator.run(tests, budget=budget)
+        options = SimOptions(sanitize=True) if sanitize else None
+    else:
+        options = SimOptions(split_lists=split_lists, sanitize=sanitize)
+    plan = RunPlan(
+        circuit,
+        tests,
+        faults,
+        engine="serial" if serial else "csim-MV",
+        transition=True,
+        options=options,
+        budget=budget,
+        jobs=jobs,
+        shard_strategy=shard_strategy,
+        telemetry=tracer is not None,
+        trace_dir=trace_dir,
+        trace_ctx=trace_ctx,
+        record_events=record_events,
+    )
+    return execute(plan, tracer)
 
 
 def compare_engines(
@@ -238,8 +159,8 @@ def compare_engines(
             engine,
             fault_list,
             options=(
-                _OPTIONS_BY_NAME[engine].with_(sanitize=True)
-                if sanitize and engine in _OPTIONS_BY_NAME
+                sanitized_options(engine)
+                if sanitize and engine_options(engine) is not None
                 else None
             ),
             tracer=tracer_factory(engine) if tracer_factory else None,

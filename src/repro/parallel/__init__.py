@@ -11,17 +11,18 @@ strategy, or executor.
 * :mod:`repro.parallel.sharding` — partition strategies (round-robin,
   level-balanced, work-stealing) and the activity estimator they share.
 * :mod:`repro.parallel.executor` — the multiprocessing pool and its
-  sequential in-process twin, plus the picklable per-shard task.
+  sequential in-process twin that run per-shard
+  :class:`repro.plan.RunPlan` objects.
 * :mod:`repro.parallel.merge` — the deterministic merge (detections,
   counters, telemetry, modelled memory) and its exactness contract.
-* :mod:`repro.parallel.runner` — ``run_parallel``: partition, execute,
-  merge; composes with budgets, per-shard checkpoints, and resume.
+* :mod:`repro.parallel.runner` — the shard layer of
+  :func:`repro.plan.execute` (partition, execute, merge; composes with
+  budgets, per-shard checkpoints, and resume) and ``run_parallel``.
 """
 
 from repro.parallel.executor import (
     MultiprocessExecutor,
     SequentialExecutor,
-    ShardTask,
     simulate_shard,
 )
 from repro.parallel.merge import (
@@ -48,7 +49,6 @@ __all__ = [
     "STRATEGIES",
     "MultiprocessExecutor",
     "SequentialExecutor",
-    "ShardTask",
     "activity_weights",
     "merge_counters",
     "merge_memory",

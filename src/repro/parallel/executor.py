@@ -1,9 +1,9 @@
 """Shard execution backends: multiprocessing workers and a sequential twin.
 
-A :class:`ShardTask` is a self-contained, picklable description of one
-shard's campaign — circuit, vectors, fault subset, engine configuration,
-budget, checkpoint binding.  :func:`simulate_shard` turns one into a
-:class:`repro.result.FaultSimResult`; it is a module-level function so the
+A shard task is a :class:`repro.plan.RunPlan` with ``jobs == 1`` and a
+``shard`` position — circuit, tests, fault subset, engine
+configuration, budget, checkpoint binding, all picklable.
+:func:`simulate_shard` executes one; it is a module-level function so the
 ``multiprocessing`` start methods that re-import (spawn/forkserver) can
 find it.
 
@@ -16,67 +16,27 @@ Two executors run task lists:
   order never leaks into the merged result.
 * :class:`SequentialExecutor` — the same tasks in-process, in shard
   order.  The fallback when ``multiprocessing`` is unavailable or
-  unwanted (``--jobs 1``), the debug mode (breakpoints work), and the
-  determinism oracle: both executors must produce identical outcomes.
+  unwanted, the debug mode (breakpoints work), and the determinism
+  oracle: both executors must produce identical outcomes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.circuit.netlist import Circuit
+from repro.obs.span import SpanWriter, TraceContext
+from repro.result import FaultSimResult
 
 if TYPE_CHECKING:
-    from repro.obs.tracer import RecordingTracer
-from repro.concurrent.options import SimOptions
-from repro.obs.span import SpanWriter, TraceContext
-from repro.patterns.vectors import TestSequence, Vector
-from repro.result import FaultSimResult
-from repro.robust.budget import Budget
-
-
-@dataclass
-class ShardTask:
-    """One shard's complete campaign description (picklable)."""
-
-    index: int
-    total: int
-    circuit: Circuit
-    vectors: List[Vector]
-    faults: Tuple
-    engine: str = "csim-MV"
-    transition: bool = False
-    options: Optional[SimOptions] = None
-    budget: Optional[Budget] = None
-    telemetry: bool = False
-    checkpoint_path: Optional[str] = None
-    resume: bool = False
-    checkpoint_every: int = 64
-    strategy: str = "round-robin"
-    #: Extra fingerprint material binding the shard checkpoint to its
-    #: position in the campaign (strategy, index, total).
-    fingerprint_extra: tuple = field(default_factory=tuple)
-    #: Span-tracing context (see repro.obs.span): when ``trace_dir`` is
-    #: set the worker appends its shard span tree there, parented under
-    #: ``trace_parent`` so the campaign stitches into one trace.
-    trace_dir: Optional[str] = None
-    trace_parent: Optional[TraceContext] = None
-    #: Record the per-gate engine event stream into the trace directory.
-    record_events: bool = False
-    #: Word width for the packed engines (PROOFS/vsim); None = default.
-    word_width: Optional[int] = None
-    #: Dictionary-building mode: no fault dropping, full per-fault
-    #: failure responses on the shard result (see ``repro.diagnosis``).
-    record_responses: bool = False
+    from repro.obs.tracer import RecordingTracer, Tracer
+    from repro.plan import RunPlan
 
 
 def _make_cycle_clock_tracer(record_events: bool) -> "RecordingTracer":
     """A RecordingTracer that also wall-clocks every cycle boundary."""
-    import time
-
     from repro.obs import RecordingTracer
 
     class CycleClockTracer(RecordingTracer):
@@ -118,107 +78,57 @@ def _emit_cycle_range_spans(
         )
 
 
-def simulate_shard(task: ShardTask) -> Tuple[int, FaultSimResult]:
-    """Run one shard to completion; returns ``(shard_index, result)``.
+def simulate_shard(task: "RunPlan") -> Tuple[int, FaultSimResult]:
+    """Run one shard plan to completion; returns ``(shard_index, result)``."""
+    from repro.plan import execute
 
-    With tracing armed (``trace_dir`` + ``trace_parent``) the worker
-    process writes a ``shard i/N`` span carrying the shard's work
+    return task.shard[0], execute(task)
+
+
+def run_traced(
+    plan: "RunPlan", tracer: Optional["Tracer"] = None
+) -> FaultSimResult:
+    """Run a ``jobs == 1`` plan's leaf with span tracing armed.
+
+    The worker writes a ``shard i/N`` span carrying the shard's work
     counters, cycle-range child spans, and — when ``record_events`` — the
     engine's per-gate event stream, all into the shared trace directory.
     """
-    import time
+    from repro.plan import run_leaf
 
-    from repro.obs import RecordingTracer
-
-    tests = TestSequence(len(task.circuit.inputs), list(task.vectors))
-    tracing = task.trace_dir is not None and task.trace_parent is not None
-    tracer: Optional[RecordingTracer]
-    if tracing:
-        tracer = _make_cycle_clock_tracer(task.record_events)
-    elif task.telemetry:
-        tracer = RecordingTracer()
-    else:
-        tracer = None
+    if tracer is None:
+        tracer = _make_cycle_clock_tracer(plan.record_events)
     shard_started = time.time()
-    result = _run_shard(task, tests, tracer)
-    if tracing:
-        _write_shard_trace(task, tracer, result, shard_started)
-    return task.index, result
-
-
-def _run_shard(
-    task: ShardTask, tests: TestSequence, tracer: Optional["RecordingTracer"]
-) -> FaultSimResult:
-    from repro.harness.runner import run_stuck_at, run_transition
-    from repro.robust.runner import run_checkpointed
-
-    if task.checkpoint_path is not None:
-        result = run_checkpointed(
-            task.circuit,
-            tests,
-            task.engine,
-            transition=task.transition,
-            faults=list(task.faults),
-            options=task.options,
-            tracer=tracer,
-            budget=task.budget,
-            checkpoint_path=task.checkpoint_path,
-            resume=task.resume,
-            checkpoint_every=task.checkpoint_every,
-            fingerprint_extra=task.fingerprint_extra,
-            word_width=task.word_width,
-            record_responses=task.record_responses,
-        )
-    elif task.transition:
-        result = run_transition(
-            task.circuit,
-            tests,
-            split_lists=(task.options or SimOptions(split_lists=True)).split_lists,
-            faults=list(task.faults),
-            tracer=tracer,
-            budget=task.budget,
-        )
-    else:
-        result = run_stuck_at(
-            task.circuit,
-            tests,
-            task.engine,
-            faults=list(task.faults),
-            options=task.options,
-            tracer=tracer,
-            budget=task.budget,
-            word_width=task.word_width,
-            record_responses=task.record_responses,
-        )
+    result = run_leaf(plan, tracer)
+    _write_shard_trace(plan, tracer, result, shard_started)
     return result
 
 
 def _write_shard_trace(
-    task: ShardTask,
-    tracer: Optional["RecordingTracer"],
+    plan: "RunPlan",
+    tracer: Optional["Tracer"],
     result: FaultSimResult,
     shard_started: float,
 ) -> None:
     """Append this shard's span tree (and optional event stream) to the
     trace directory.  The shard span carries the work counters so the
     inspection CLI can build the balance table from spans alone."""
-    import time
-
-    assert task.trace_dir is not None and task.trace_parent is not None
-    writer = SpanWriter(task.trace_dir, label=f"shard{task.index:02d}")
+    assert plan.trace_dir is not None and plan.trace_ctx is not None
+    index, total = plan.shard
+    writer = SpanWriter(plan.trace_dir, label=f"shard{index:02d}")
     try:
-        shard_ctx = task.trace_parent.child()
+        shard_ctx = plan.trace_ctx.child()
         counters = result.counters
         writer.emit(
-            f"shard {task.index}/{task.total}",
+            f"shard {index}/{total}",
             shard_ctx,
             shard_started,
             time.time(),
-            shard=task.index,
-            total=task.total,
+            shard=index,
+            total=total,
             engine=result.engine,
-            strategy=task.strategy,
-            faults=len(task.faults),
+            strategy=plan.shard_strategy,
+            faults=len(plan.faults or ()),
             detected=result.num_detected,
             cycles=counters.cycles,
             good_evaluations=counters.good_evaluations,
@@ -231,21 +141,21 @@ def _write_shard_trace(
         _emit_cycle_range_spans(
             writer, shard_ctx, getattr(tracer, "cycle_clock", []), time.time()
         )
-        if task.record_events and tracer is not None and tracer.records:
+        records = getattr(tracer, "records", None)
+        if plan.record_events and records:
             from repro.obs.export import write_jsonl_trace
 
             events_path = os.path.join(
-                task.trace_dir,
-                f"events-shard{task.index:02d}-of-{task.total:02d}.jsonl",
+                plan.trace_dir, f"events-shard{index:02d}-of-{total:02d}.jsonl"
             )
             header = {
                 "t": "shard_header",
-                "trace_id": task.trace_parent.trace_id,
+                "trace_id": plan.trace_ctx.trace_id,
                 "span_id": shard_ctx.span_id,
-                "shard": task.index,
-                "total": task.total,
+                "shard": index,
+                "total": total,
             }
-            write_jsonl_trace([header] + list(tracer.records), events_path)
+            write_jsonl_trace([header] + list(records), events_path)
     finally:
         writer.close()
 
@@ -264,7 +174,7 @@ class SequentialExecutor:
     def __init__(self, on_result: Optional[ShardCallback] = None) -> None:
         self.on_result = on_result
 
-    def run(self, tasks: Sequence[ShardTask]) -> List[FaultSimResult]:
+    def run(self, tasks: Sequence["RunPlan"]) -> List[FaultSimResult]:
         outcomes: List[Tuple[int, FaultSimResult]] = []
         for task in tasks:
             index, result = simulate_shard(task)
@@ -290,7 +200,7 @@ class MultiprocessExecutor:
         self.jobs = jobs
         self.on_result = on_result
 
-    def run(self, tasks: Sequence[ShardTask]) -> List[FaultSimResult]:
+    def run(self, tasks: Sequence["RunPlan"]) -> List[FaultSimResult]:
         if not tasks:
             return []
         workers = min(self.jobs, len(tasks))

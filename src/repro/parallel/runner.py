@@ -1,24 +1,25 @@
-"""The fault-sharded parallel campaign runner.
+"""The shard layer: partition a plan, run its shards, merge.
 
-``run_parallel`` is the one entry point: partition the (collapsed) fault
-universe into shards (:mod:`repro.parallel.sharding`), simulate every
-shard with an independent engine — in ``jobs`` worker processes or
-in-process sequentially (:mod:`repro.parallel.executor`) — and merge the
-shard results deterministically (:mod:`repro.parallel.merge`).  The
-merged detections, detection cycles and coverage are bit-identical to a
+:func:`run_shards` is the ``jobs > 1`` layer of :func:`repro.plan.execute`:
+partition the plan's fault list into shards
+(:mod:`repro.parallel.sharding`), run one sub-plan per shard with an
+independent engine — in ``jobs`` worker processes or in-process
+sequentially (:mod:`repro.parallel.executor`) — and merge the shard
+results deterministically (:mod:`repro.parallel.merge`).  The merged
+detections, detection cycles and coverage are bit-identical to a
 single-process run for any shard count, strategy, and executor.
+:func:`run_parallel` is the keyword-argument constructor of such a plan.
 
 Resilience composes with parallelism shard-wise:
 
-* **Checkpoints** — with ``checkpoint_path`` every shard checkpoints its
-  own engine through :func:`repro.robust.runner.run_checkpointed` into
-  ``<path>.shardII-of-NN``, fingerprint-bound to the shard's fault subset
-  *and* its (strategy, index, total) position, so resuming under a
-  different sharding configuration is refused rather than silently
-  merged wrong.  ``resume=True`` resumes shards whose checkpoint exists
-  (finished shards replay from their final checkpoint without
-  re-simulating) and starts the rest fresh — exactly what a campaign
-  killed mid-run needs.
+* **Checkpoints** — with a checkpoint path every shard checkpoints its
+  own engine into ``<path>.shardII-of-NN``, fingerprint-bound to the
+  shard's fault subset *and* its (strategy, index, total) position, so
+  resuming under a different sharding configuration is refused rather
+  than silently merged wrong.  ``resume=True`` resumes shards whose
+  checkpoint exists (finished shards replay from their final checkpoint
+  without re-simulating) and starts the rest fresh — exactly what a
+  campaign killed mid-run needs.
 * **Budgets** — the budget is armed per shard; any shard's breach marks
   the merged result ``truncated`` (see :mod:`repro.parallel.merge`).
 * **Interrupts** — Ctrl-C surfaces as
@@ -29,35 +30,30 @@ Resilience composes with parallelism shard-wise:
 
 from __future__ import annotations
 
+import json
 import os
 import time
+from dataclasses import replace
 from typing import List, Optional, Protocol, Sequence
-
-import json
 
 from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault
-from repro.faults.transition import all_transition_faults
-from repro.faults.universe import stuck_at_universe
 from repro.obs.span import SpanWriter, TraceContext
-from repro.parallel.executor import (
-    MultiprocessExecutor,
-    SequentialExecutor,
-    ShardTask,
-)
+from repro.parallel.executor import MultiprocessExecutor
 from repro.parallel.merge import merge_results
-from repro.parallel.sharding import DEFAULT_OVERSHARD, STRATEGIES, shard_faults
+from repro.parallel.sharding import DEFAULT_OVERSHARD, shard_faults
 from repro.patterns.vectors import TestSequence
+from repro.plan import DEFAULT_CHECKPOINT_EVERY, RunPlan, execute
 from repro.result import FaultSimResult
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import CampaignInterrupted
 
 
 class ShardExecutor(Protocol):
-    """What ``run_parallel`` needs from an executor: run tasks, in order."""
+    """What the shard layer needs from an executor: run plans, in order."""
 
-    def run(self, tasks: Sequence[ShardTask]) -> List[FaultSimResult]: ...
+    def run(self, tasks: Sequence[RunPlan]) -> List[FaultSimResult]: ...
 
 
 def shard_checkpoint_path(base: str, index: int, total: int) -> str:
@@ -65,22 +61,103 @@ def shard_checkpoint_path(base: str, index: int, total: int) -> str:
     return f"{base}.shard{index:02d}-of-{total:02d}"
 
 
-def plan_shards(
-    circuit: Circuit,
-    faults: Optional[Sequence[Fault]],
-    jobs: int,
-    shard_strategy: str = "round-robin",
-    overshard: int = DEFAULT_OVERSHARD,
-    transition: bool = False,
-) -> List[list]:
-    """The deterministic shard partition a campaign would use."""
-    if faults is None:
-        universe = (
-            all_transition_faults(circuit) if transition else stuck_at_universe(circuit)
+def plan_shards(plan: RunPlan) -> List[RunPlan]:
+    """The deterministic per-shard sub-plans of a ``jobs > 1`` plan.
+
+    Each sub-plan runs one shard's faults in-process (``jobs=1``) and binds
+    its checkpoint to ``<path>.shardII-of-NN`` with its (strategy, index,
+    total) position in the fingerprint; it resumes only when that file
+    exists.
+    """
+    assert plan.faults is not None
+    shards = shard_faults(
+        plan.circuit, sorted(plan.faults), plan.jobs, plan.shard_strategy,
+        DEFAULT_OVERSHARD,
+    )
+    total = len(shards)
+    tasks: List[RunPlan] = []
+    for index, shard in enumerate(shards):
+        path = (
+            shard_checkpoint_path(plan.checkpoint_path, index, total)
+            if plan.checkpoint_path is not None
+            else None
         )
-    else:
-        universe = list(faults)
-    return shard_faults(circuit, sorted(universe), jobs, shard_strategy, overshard)
+        tasks.append(
+            replace(
+                plan,
+                faults=tuple(shard),
+                jobs=1,
+                shard=(index, total),
+                checkpoint_path=path,
+                resume=plan.resume and path is not None and os.path.exists(path),
+                fingerprint_extra=(
+                    *plan.fingerprint_extra,
+                    "shard",
+                    plan.shard_strategy,
+                    index,
+                    total,
+                ),
+            )
+        )
+    return tasks
+
+
+def run_shards(
+    plan: RunPlan, executor: Optional[ShardExecutor] = None
+) -> FaultSimResult:
+    """The shard layer of :func:`repro.plan.execute`: partition, run, merge.
+
+    The merged detections, detection cycles and coverage are bit-identical
+    to a single-process run for any shard count, strategy and executor.
+    With tracing armed the campaign writes ``plan``/``merge`` spans plus
+    ``telemetry``/``manifest`` sidecars next to the shard workers' spans.
+    """
+    writer: Optional[SpanWriter] = None
+    if plan.trace_dir is not None:
+        writer = SpanWriter(plan.trace_dir, label="campaign")
+    plan_started = time.time()
+    tasks = plan_shards(plan)
+    total = len(tasks)
+    if writer is not None and plan.trace_ctx is not None:
+        writer.emit(
+            "plan",
+            plan.trace_ctx.child(),
+            plan_started,
+            time.time(),
+            shards=total,
+            strategy=plan.shard_strategy,
+            jobs=plan.jobs,
+        )
+    if executor is None:
+        executor = MultiprocessExecutor(plan.jobs)
+    started = time.perf_counter()
+    try:
+        results = executor.run(tasks)
+    except CampaignInterrupted as exc:
+        # Surface the campaign's *base* path in the resume hint, not the
+        # individual shard file the interrupt happened to land in.
+        raise CampaignInterrupted(plan.checkpoint_path, exc.cycles_done) from None
+    except KeyboardInterrupt:
+        raise CampaignInterrupted(plan.checkpoint_path) from None
+    merge_started = time.time()
+    merged = merge_results(results, wall_seconds=time.perf_counter() - started)
+    merged.circuit_name = plan.circuit.name
+    if writer is not None and plan.trace_ctx is not None:
+        assert plan.trace_dir is not None
+        writer.emit(
+            "merge",
+            plan.trace_ctx.child(),
+            merge_started,
+            time.time(),
+            shards=total,
+            detected=merged.num_detected,
+        )
+        _write_trace_sidecars(
+            plan.trace_dir, plan.trace_ctx, merged, plan.jobs,
+            plan.shard_strategy, total,
+        )
+        writer.close()
+    return merged
 
 
 def run_parallel(
@@ -93,12 +170,11 @@ def run_parallel(
     options: Optional[SimOptions] = None,
     jobs: int = 1,
     shard_strategy: str = "round-robin",
-    overshard: int = DEFAULT_OVERSHARD,
     budget: Optional[Budget] = None,
     telemetry: bool = False,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    checkpoint_every: int = 64,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     executor: Optional[ShardExecutor] = None,
     trace_dir: Optional[str] = None,
     trace_ctx: Optional[TraceContext] = None,
@@ -109,10 +185,10 @@ def run_parallel(
 ) -> FaultSimResult:
     """Run one fault-simulation campaign sharded over *jobs* workers.
 
-    With the default executor, ``jobs > 1`` runs shards in a process pool
-    and ``jobs == 1`` runs the (single) shard in-process.  Passing an
-    ``executor`` (:class:`SequentialExecutor` or
-    :class:`MultiprocessExecutor`) overrides that choice without touching
+    The default executor runs shards in a process pool of ``jobs``
+    workers; ``jobs == 1`` is never partitioned and runs in-process.
+    Passing an ``executor`` (:class:`SequentialExecutor` or
+    :class:`MultiprocessExecutor`) overrides the backend without touching
     the partition — the standard trick for testing that backends agree.
 
     ``telemetry=True`` records a :class:`repro.obs.RecordingTracer` in
@@ -128,100 +204,28 @@ def run_parallel(
     ``record_events`` additionally streams each shard's per-gate engine
     events to ``events-shard*.jsonl`` files (the ``--trace`` payload).
     """
-    if shard_strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {shard_strategy!r}; choose from {STRATEGIES}"
-        )
-    if resume and checkpoint_path is None:
-        raise ValueError("resume requested without a checkpoint path")
-
-    writer: Optional[SpanWriter] = None
-    if trace_dir is not None:
-        if trace_ctx is None:
-            trace_ctx = TraceContext.new_trace()
-        telemetry = True
-        writer = SpanWriter(trace_dir, label="campaign")
-
-    plan_started = time.time()
-    shards = plan_shards(
-        circuit, faults, jobs, shard_strategy, overshard, transition=transition
+    plan = RunPlan(
+        circuit,
+        tests,
+        faults,
+        engine=engine,
+        transition=transition,
+        options=options,
+        word_width=word_width,
+        record_responses=record_responses,
+        budget=budget,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        checkpoint_every=checkpoint_every,
+        fingerprint_extra=fingerprint_extra,
+        jobs=jobs,
+        shard_strategy=shard_strategy,
+        telemetry=telemetry,
+        trace_dir=trace_dir,
+        trace_ctx=trace_ctx,
+        record_events=record_events,
     )
-    if writer is not None and trace_ctx is not None:
-        writer.emit(
-            "plan",
-            trace_ctx.child(),
-            plan_started,
-            time.time(),
-            shards=len(shards),
-            strategy=shard_strategy,
-            jobs=jobs,
-        )
-    total = len(shards)
-    tasks: List[ShardTask] = []
-    for index, shard in enumerate(shards):
-        path = (
-            shard_checkpoint_path(checkpoint_path, index, total)
-            if checkpoint_path is not None
-            else None
-        )
-        tasks.append(
-            ShardTask(
-                index=index,
-                total=total,
-                circuit=circuit,
-                vectors=list(tests.vectors),
-                faults=tuple(shard),
-                engine=engine,
-                transition=transition,
-                options=options,
-                budget=budget,
-                telemetry=telemetry,
-                checkpoint_path=path,
-                resume=resume and path is not None and os.path.exists(path),
-                checkpoint_every=checkpoint_every,
-                strategy=shard_strategy,
-                fingerprint_extra=(
-                    *fingerprint_extra,
-                    "shard",
-                    shard_strategy,
-                    index,
-                    total,
-                ),
-                trace_dir=trace_dir,
-                trace_parent=trace_ctx,
-                record_events=record_events,
-                word_width=word_width,
-                record_responses=record_responses,
-            )
-        )
-
-    if executor is None:
-        executor = MultiprocessExecutor(jobs) if jobs > 1 else SequentialExecutor()
-
-    started = time.perf_counter()
-    try:
-        results = executor.run(tasks)
-    except CampaignInterrupted as exc:
-        # Surface the campaign's *base* path in the resume hint, not the
-        # individual shard file the interrupt happened to land in.
-        raise CampaignInterrupted(checkpoint_path, exc.cycles_done) from None
-    except KeyboardInterrupt:
-        raise CampaignInterrupted(checkpoint_path) from None
-    merge_started = time.time()
-    merged = merge_results(results, wall_seconds=time.perf_counter() - started)
-    merged.circuit_name = circuit.name
-    if writer is not None and trace_ctx is not None and trace_dir is not None:
-        writer.emit(
-            "merge",
-            trace_ctx.child(),
-            merge_started,
-            time.time(),
-            shards=total,
-            detected=merged.num_detected,
-        )
-        _write_trace_sidecars(trace_dir, trace_ctx, merged, jobs, shard_strategy, total)
-        writer.close()
-    return merged
+    return execute(plan, executor=executor)
 
 
 def _write_trace_sidecars(

@@ -22,7 +22,7 @@ import random
 from repro.baselines.serial import simulate_serial
 from repro.circuit.netlist import Circuit
 from repro.faults.universe import stuck_at_universe
-from repro.harness.runner import make_stuck_at_simulator
+from repro.plan import make_simulator
 from repro.logic.values import is_binary
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
@@ -156,7 +156,7 @@ def run_with_ladder(
             if simulator_factory is not None:
                 simulator = simulator_factory(engine, circuit, faults, tracer)
             if simulator is None:
-                simulator = make_stuck_at_simulator(
+                simulator = make_simulator(
                     circuit, engine, faults, tracer=tracer, word_width=word_width
                 )
             try:

@@ -26,9 +26,8 @@ from typing import Callable, Optional
 
 from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
-from repro.concurrent.transition_engine import TransitionFaultSimulator
-from repro.harness.runner import WORD_ENGINES, make_stuck_at_simulator
 from repro.patterns.vectors import TestSequence
+from repro.plan import DEFAULT_CHECKPOINT_EVERY, WORD_ENGINES, RunPlan
 from repro.result import FaultSimResult
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import (
@@ -40,10 +39,6 @@ from repro.robust.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-
-#: Default cycles between periodic checkpoint writes.
-DEFAULT_CHECKPOINT_EVERY = 64
-
 
 def run_fingerprint(
     circuit: Circuit,
@@ -69,30 +64,6 @@ def run_fingerprint(
         tuple(faults),
         *extra,
     )
-
-
-def _build_simulator(
-    circuit, engine, transition, faults, options, tracer,
-    word_width=None, axis_mode="auto", record_responses=False,
-):
-    if transition:
-        if record_responses:
-            raise ValueError(
-                "response recording (fault dictionaries) only supports the "
-                "stuck-at model"
-            )
-        simulator = TransitionFaultSimulator(
-            circuit, faults, options or SimOptions(split_lists=True), tracer=tracer
-        )
-        label = "csim-TV" if simulator.options.split_lists else "csim-T"
-        return simulator, label
-    simulator = make_stuck_at_simulator(
-        circuit, engine, faults, options=options, tracer=tracer,
-        word_width=word_width, axis_mode=axis_mode,
-        record_responses=record_responses,
-    )
-    label = engine if engine in WORD_ENGINES else simulator.options.variant_name
-    return simulator, label
 
 
 def run_checkpointed(
@@ -124,12 +95,30 @@ def run_checkpointed(
     Ctrl-C is latched and honoured at the next cycle boundary, so the
     final checkpoint always captures a clean state; the exception raised
     is :class:`CampaignInterrupted` (a ``KeyboardInterrupt``), carrying
-    the checkpoint path for the caller's resume hint.
+    the checkpoint path for the caller's resume hint.  This is the
+    checkpoint leaf of :func:`repro.plan.execute`; called directly it
+    steps the engine cycle by cycle even without a checkpoint path.
     """
-    simulator, label = _build_simulator(
-        circuit, engine, transition, faults, options, tracer,
-        word_width=word_width, record_responses=record_responses,
+    plan = RunPlan(
+        circuit,
+        tests,
+        faults,
+        engine=engine,
+        transition=transition,
+        options=options,
+        word_width=word_width,
+        record_responses=record_responses,
+        budget=budget,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        checkpoint_every=checkpoint_every,
+        fingerprint_extra=fingerprint_extra,
     )
+    simulator = plan.simulator(tracer)
+    if transition:
+        label = "csim-TV" if simulator.options.split_lists else "csim-T"
+    else:
+        label = engine if engine in WORD_ENGINES else simulator.options.variant_name
     fingerprint = run_fingerprint(
         circuit, tests, label, simulator.faults, transition, fingerprint_extra
     )

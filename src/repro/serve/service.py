@@ -10,10 +10,10 @@ existing engines:
   :class:`repro.serve.queue.QueueFull` (HTTP 429).
 * **Execute** — workers claim the queue head, coalesce queue-mates
   sharing a (circuit, engine) group key into one batch
-  (:mod:`repro.serve.batch`), and run each job through the existing
-  runners: :func:`repro.robust.runner.run_checkpointed` for single-process
-  jobs (periodic durable checkpoints), :func:`repro.parallel.runner.run_parallel`
-  when the job asks for ``jobs > 1`` fault sharding.  Budgets
+  (:mod:`repro.serve.batch`), lower each job to a
+  :class:`repro.plan.RunPlan` (periodic durable checkpoints under the
+  job's id, ``jobs > 1`` fault sharding) and run it with
+  :func:`repro.plan.execute` — the same executor the CLI uses.  Budgets
   (:class:`repro.robust.budget.Budget`) compose from the job's
   ``max_cycles`` and the service-wide wall-clock cap.
 * **Recover** (:meth:`FaultSimService.recover`) re-queues every job a
@@ -64,6 +64,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.circuit.netlist import NetlistError
 from repro.obs.span import SpanWriter, TraceContext
 from repro.obs.tracer import Tracer
+from repro.plan import RunPlan, execute, sanitized_options
 from repro.result import FaultSimResult, WorkCounters
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import (
@@ -746,17 +747,11 @@ class FaultSimService:
                 # is what a full-universe submission would have produced.
                 # Dominance proposals are oracle-confirmed before the blob
                 # can claim them.
-                if resolved.collapsed.implied_by:
-                    from repro.analyze import expand_verified
+                from repro.analyze import expand_verified
 
-                    result, _audit = expand_verified(
-                        resolved.circuit,
-                        resolved.tests.vectors,
-                        resolved.collapsed,
-                        result,
-                    )
-                else:
-                    result = resolved.collapsed.expand(result)
+                result, _audit = expand_verified(
+                    resolved.circuit, resolved.tests.vectors, resolved.collapsed, result
+                )
             self.metrics.phase("simulate", time.perf_counter() - simulate_started)
             if self.spans is not None and sim_ctx is not None:
                 self.spans.emit(
@@ -939,25 +934,29 @@ class FaultSimService:
             # also why deadline-truncated results are never cached.
             remaining = max(0.0, record.deadline_at - time.time())
             budget = (budget or Budget()).tightened(max_wall_seconds=remaining)
-        options = None
-        if spec.sanitize:
-            if spec.transition:
-                from repro.concurrent.options import SimOptions
+        return execute(self._plan(record, spec, resolved, budget, trace_ctx), heartbeat)
 
-                options = SimOptions(split_lists=True, sanitize=True)
-            else:
-                from repro.harness.runner import engine_options
+    def _plan(
+        self,
+        record: JobRecord,
+        spec: JobSpec,
+        resolved: ResolvedJob,
+        budget: Optional[Budget] = None,
+        trace_ctx: Optional[TraceContext] = None,
+    ) -> RunPlan:
+        """Lower one resolved job to its :class:`~repro.plan.RunPlan`.
 
-                base = engine_options(spec.engine)
-                assert base is not None  # spec validation guarantees csim*
-                options = base.with_(sanitize=True)
+        Every job but a serial-oracle one checkpoints under the job's id
+        and resumes whenever a valid checkpoint exists on disk: retries
+        (attempts > 1) and resurrections (attempts reset to 0), sharded or
+        not, pick up where the last durable cycle left off.
+        """
         fingerprint_extra = (
             resolved.collapsed.fingerprint_material()
             if resolved.collapsed is not None
             else ()
         )
-        record_responses = spec.dictionary is not None
-        if record_responses:
+        if spec.dictionary is not None:
             # PROOFS/vsim checkpoint labels do not distinguish recording
             # runs from dropping ones, so the prefix keeps a dictionary
             # build's checkpoints from ever seeding (or being seeded by) a
@@ -966,64 +965,35 @@ class FaultSimService:
                 "diagnosis-dictionary",
                 spec.dictionary,
             ) + fingerprint_extra
-        if spec.engine == "serial" and not spec.transition:
-            # The serial oracle has no snapshot support: no checkpoints.
-            from repro.harness.runner import run_stuck_at
-
-            return run_stuck_at(
-                resolved.circuit,
-                resolved.tests,
-                "serial",
-                faults=resolved.faults,
-                tracer=heartbeat,
-                budget=budget,
-                record_responses=record_responses,
-            )
-        checkpoint_path = self._checkpoint_path(record.job_id)
-        # Resume whenever a valid checkpoint exists: retries (attempts > 1)
-        # and resurrections (attempts reset to 0) both pick up where the
-        # last durable cycle left off, bit-identically.
-        resume = self._note_resume(record, checkpoint_path)
-        if spec.jobs > 1:
-            from repro.parallel.runner import run_parallel
-
-            return run_parallel(
-                resolved.circuit,
-                resolved.tests,
-                spec.engine,
-                transition=spec.transition,
-                faults=resolved.faults,
-                options=options,
-                jobs=spec.jobs,
-                shard_strategy=spec.shard_strategy,
-                budget=budget,
-                telemetry=trace_ctx is not None,
-                checkpoint_path=checkpoint_path,
-                resume=record.attempts > 1,
-                checkpoint_every=self.config.checkpoint_every,
-                trace_dir=self.config.trace_dir if trace_ctx is not None else None,
-                trace_ctx=trace_ctx,
-                word_width=spec.word_width,
-                record_responses=record_responses,
-                fingerprint_extra=fingerprint_extra,
-            )
-        from repro.robust.runner import run_checkpointed
-
-        return run_checkpointed(
+        checkpoint_path = None
+        resume = False
+        if spec.engine != "serial":  # the oracle has no snapshot support
+            checkpoint_path = self._checkpoint_path(record.job_id)
+            resume = self._note_resume(record, checkpoint_path)
+        tracing = trace_ctx is not None and spec.jobs > 1
+        return RunPlan(
             resolved.circuit,
             resolved.tests,
-            spec.engine,
+            resolved.faults,
+            engine=spec.engine,
             transition=spec.transition,
-            faults=resolved.faults,
-            options=options,
+            options=(
+                sanitized_options(spec.engine, spec.transition)
+                if spec.sanitize
+                else None
+            ),
+            word_width=spec.word_width,
+            record_responses=spec.dictionary is not None,
             budget=budget,
-            tracer=heartbeat,
             checkpoint_path=checkpoint_path,
             resume=resume,
             checkpoint_every=self.config.checkpoint_every,
-            word_width=spec.word_width,
-            record_responses=record_responses,
             fingerprint_extra=fingerprint_extra,
+            jobs=spec.jobs,
+            shard_strategy=spec.shard_strategy,
+            telemetry=tracing,
+            trace_dir=self.config.trace_dir if tracing else None,
+            trace_ctx=trace_ctx if tracing else None,
         )
 
     def _encode_dictionary(
@@ -1129,16 +1099,25 @@ class FaultSimService:
         return 200, None, body
 
     def _note_resume(self, record: JobRecord, checkpoint_path: str) -> bool:
-        """Whether a retry can resume, recording the resume cycle."""
-        if not os.path.exists(checkpoint_path):
+        """Whether a retry can resume, recording the resume cycle.
+
+        A sharded job's progress lives in per-shard files beside the base
+        path; the recorded cycle is the earliest any checkpoint resumes
+        from.  Torn checkpoints are deleted so their shard starts over.
+        """
+        cycles = []
+        for path in [checkpoint_path] + sorted(glob.glob(f"{checkpoint_path}.shard*")):
+            if not os.path.exists(path):
+                continue
+            try:
+                saved = read_checkpoint(path)
+            except CheckpointError:
+                os.unlink(path)  # torn checkpoint: start over
+                continue
+            cycles.append(int(saved.payload.get("cycle", 0)))
+        if not cycles:
             return False
-        try:
-            saved = read_checkpoint(checkpoint_path)
-        except CheckpointError:
-            os.unlink(checkpoint_path)  # torn checkpoint: start over
-            return False
-        cycle = saved.payload.get("cycle", 0)
-        record.resumed_from_cycle = int(cycle)
+        record.resumed_from_cycle = min(cycles)
         return True
 
     def _cleanup_checkpoints(self, job_id: str) -> None:

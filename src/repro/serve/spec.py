@@ -27,11 +27,11 @@ from repro.circuit.bench import parse_bench
 from repro.faults.model import Fault
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
-from repro.harness.runner import ENGINE_NAMES, WORD_ENGINES, engine_options
+from repro.plan import check_options, sanitized_options
+from repro.vector.packing import validate_word_width
 
 if TYPE_CHECKING:
     from repro.analyze.collapse import CollapsedUniverse
-from repro.parallel.sharding import STRATEGIES
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import TestSequence, parse_vectors
 
@@ -168,16 +168,8 @@ class JobSpec:
         if vectors is not None and "random_patterns" in payload:
             raise SpecError("'vectors' and 'random_patterns' are mutually exclusive")
         engine = _opt_str(payload, "engine") or "csim-MV"
-        if engine not in ENGINE_NAMES:
-            raise SpecError(f"unknown engine {engine!r}; choose from {ENGINE_NAMES}")
         strategy = _opt_str(payload, "shard_strategy") or "round-robin"
-        if strategy not in STRATEGIES:
-            raise SpecError(
-                f"unknown shard strategy {strategy!r}; choose from {STRATEGIES}"
-            )
         jobs = _opt_int(payload, "jobs", 1)
-        if jobs < 1:
-            raise SpecError("'jobs' must be >= 1")
         transition = _opt_bool(payload, "transition")
         collapse = _opt_str(payload, "collapse")
         if collapse is not None and collapse not in ("equivalence", "dominance"):
@@ -192,20 +184,12 @@ class JobSpec:
                 raise SpecError(
                     f"'dictionary' must be one of {DICTIONARY_KINDS}"
                 )
-            if transition:
-                raise SpecError(
-                    "fault dictionaries only support the stuck-at model"
-                )
             if collapse == "dominance":
                 raise SpecError(
                     "dictionary builds need exact response attribution; "
                     "'collapse' must be 'equivalence' (or omitted)"
                 )
         sanitize = _opt_bool(payload, "sanitize")
-        if sanitize and not transition and engine_options(engine) is None:
-            raise SpecError(
-                f"'sanitize' requires a concurrent engine (csim*), not {engine!r}"
-            )
         random_patterns = _opt_int(payload, "random_patterns", 64)
         if random_patterns < 1:
             raise SpecError("'random_patterns' must be >= 1")
@@ -225,18 +209,21 @@ class JobSpec:
             if max_attempts < 1:
                 raise SpecError("'max_attempts' must be >= 1")
         word_width: Optional[int] = None
-        if payload.get("word_width") is not None:
-            if engine not in WORD_ENGINES:
-                raise SpecError(
-                    f"'word_width' only applies to the word-packed engines "
-                    f"{WORD_ENGINES}, not {engine!r}"
-                )
-            from repro.vector.packing import validate_word_width
-
-            try:
+        try:
+            if payload.get("word_width") is not None:
                 word_width = validate_word_width(payload["word_width"])
-            except ValueError as exc:
-                raise SpecError(str(exc)) from None
+            # The plan's own refusals, applied before anything is loaded.
+            check_options(
+                engine,
+                transition=transition,
+                options=sanitized_options(engine, transition) if sanitize else None,
+                word_width=word_width,
+                record_responses=dictionary is not None,
+                jobs=jobs,
+                shard_strategy=strategy,
+            )
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         return cls(
             circuit=circuit,
             scale=_opt_float(payload, "scale", 1.0),
@@ -316,7 +303,9 @@ class JobSpec:
 
     def engine_label(self) -> str:
         """The engine name a direct CLI run would report for this spec."""
-        return "csim-TV" if self.transition else self.engine
+        if not self.transition:
+            return self.engine
+        return "serial-transition" if self.engine == "serial" else "csim-TV"
 
 
 @dataclass

@@ -484,3 +484,36 @@ class TestPrometheus:
             render_prometheus(service.metrics_snapshot())
         )
         assert metrics["repro_draining"] == [({}, 1.0)]
+
+
+# ----------------------------------------------------------------------
+# a resurrected sharded job resumes from its shard checkpoints
+# ----------------------------------------------------------------------
+
+
+class TestShardedResurrection:
+    def test_retry_job_resumes_sharded_job(self, tmp_path, monkeypatch):
+        import repro.parallel.runner as parallel_runner
+        from repro.parallel import SequentialExecutor
+
+        # Shards run in-process so the step counter sees every cycle.
+        monkeypatch.setattr(
+            parallel_runner, "MultiprocessExecutor", lambda jobs: SequentialExecutor()
+        )
+        service = make_service(tmp_path, retry_backoff_base=0.0, max_attempts=1)
+        record, _ = service.submit({**JOB, "jobs": 2})
+        # Shard 0 finishes its 40 cycles, shard 1 dies 10 cycles in.
+        with step_bomb(ConcurrentFaultSimulator, after_steps=50, exception=OSError):
+            service.process_once()
+        assert service.status(record.job_id).state == "dead"
+
+        assert service.retry_job(record.job_id)
+        with step_bomb(ConcurrentFaultSimulator, after_steps=10_000) as counter:
+            assert service.drain() == 1
+        finished = service.status(record.job_id)
+        assert finished.state == "done", finished.error
+        # checkpoint_every=4: shard 1 resumes from cycle 8, shard 0 replays
+        # from its final checkpoint; a fresh run would step 2 * 40 cycles.
+        assert finished.resumed_from_cycle == 8
+        assert counter["calls"] == 40 - 8
+        assert service.result_bytes(record.job_id) == direct_blob(5)
