@@ -53,11 +53,13 @@ def simulate_serial(
     failure on ``result.responses``, and ``detected`` keeps *first*
     detection cycles — identical to what a dropping run reports.
 
-    A ``budget`` (:class:`repro.robust.budget.Budget`) bounds the run by
-    wall clock only — the serial loop is per *fault*, not per cycle, so the
-    budget is checked between faulty machines and the result is flagged
-    truncated when the limit hits (remaining faults simply stay
-    undetected in the partial result).
+    A ``budget`` (:class:`repro.robust.budget.Budget`) bounds the run on
+    every axis.  A cycle limit shorter than the sequence truncates the
+    vectors up front, so the result equals a concurrent engine's truncated
+    one.  The serial loop is per *fault*, so the wall clock and the
+    memory model (fixed here: one descriptor per fault) are checked
+    between faulty machines; on a breach the remaining faults simply stay
+    undetected in the partial result.
 
     A ``tracer`` (:class:`repro.obs.Tracer`) mirrors the work counters
     through the standard hooks — one ``cycle_start`` per good-machine
@@ -66,14 +68,51 @@ def simulate_serial(
     as every concurrent engine.
     """
     fault_list = sorted(faults) if faults is not None else stuck_at_universe(circuit)
-    if record_responses:
-        drop_detected = False
-    clock = budget.start() if budget else None
+    return _run_machines(
+        "serial",
+        circuit,
+        vectors,
+        fault_list,
+        lambda fault: LogicSimulator(circuit, fault),
+        circuit.num_combinational,
+        drop_detected and not record_responses,
+        budget,
+        tracer,
+        record_responses,
+    )
+
+
+def _run_machines(
+    engine: str,
+    circuit: Circuit,
+    vectors: Sequence[Sequence[int]],
+    fault_list: List[Fault],
+    make_machine,
+    evals_per_cycle: int,
+    drop_detected: bool,
+    budget=None,
+    tracer=None,
+    record_responses: bool = False,
+) -> FaultSimResult:
+    """The loop both serial oracles share: one faulty machine at a time.
+
+    ``make_machine(fault)`` builds a machine whose ``step(vector)`` returns
+    the primary-output values; each step costs ``evals_per_cycle`` gate
+    evaluations.
+    """
     trace = tracer
     start = time.perf_counter()
     counters = WorkCounters()
+    memory = MemoryStats(num_descriptors=len(fault_list))
     if trace is not None:
-        trace.run_start("serial", circuit.name)
+        trace.run_start(engine, circuit.name)
+    clock = budget.start() if budget else None
+    truncation_reason = None
+    if budget and budget.max_cycles is not None and len(vectors) > budget.max_cycles:
+        # The cut a concurrent engine makes when it checks the budget
+        # before cycle ``max_cycles + 1``.
+        truncation_reason = _describe(clock.check(budget.max_cycles, 0), trace)
+        vectors = vectors[: budget.max_cycles]
 
     good = LogicSimulator(circuit)
     good_outputs: List[Tuple[int, ...]] = []
@@ -92,22 +131,20 @@ def simulate_serial(
     responses: Optional[Dict[Fault, Tuple[Failure, ...]]] = (
         {} if record_responses else None
     )
-    truncation_reason = None
     for fid, fault in enumerate(fault_list):
-        if clock is not None:
-            breach = clock.check(0, 0)  # wall clock is the only serial axis
-            if breach is not None:
-                truncation_reason = breach.describe()
-                if trace is not None:
-                    trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                break
-        machine = LogicSimulator(circuit, fault)
+        # Whole machines, not fault elements: the modelled memory is the
+        # fixed per-fault descriptor total, checked with the wall clock.
+        breach = clock.check(0, memory.peak_bytes) if clock is not None else None
+        if breach is not None:
+            truncation_reason = _describe(breach, trace)
+            break
+        machine = make_machine(fault)
         failures: List[Failure] = []
         for cycle, vector in enumerate(vectors, start=1):
             outputs = machine.step(vector)
-            counters.fault_evaluations += circuit.num_combinational
+            counters.fault_evaluations += evals_per_cycle
             if trace is not None:
-                trace.fault_evals(None, circuit.num_combinational)
+                trace.fault_evals(None, evals_per_cycle)
             good = good_outputs[cycle - 1]
             if (
                 fault not in potential
@@ -142,16 +179,14 @@ def simulate_serial(
             responses[fault] = tuple(failures)
 
     result = FaultSimResult(
-        engine="serial",
+        engine=engine,
         circuit_name=circuit.name,
         num_faults=len(fault_list),
         num_vectors=len(vectors),
         detected=detected,
         potentially_detected=potential,
         counters=counters,
-        # Serial simulation stores whole machines, not fault elements; the
-        # descriptor count keeps the memory model comparable across engines.
-        memory=MemoryStats(num_descriptors=len(fault_list)),
+        memory=memory,
         wall_seconds=time.perf_counter() - start,
         truncated=truncation_reason is not None,
         truncation_reason=truncation_reason,
@@ -161,6 +196,14 @@ def simulate_serial(
         trace.run_end(result.wall_seconds)
         result.telemetry = trace.telemetry()
     return result
+
+
+def _describe(breach, trace=None) -> Optional[str]:
+    if breach is None:
+        return None
+    if trace is not None:
+        trace.budget_breach(breach.kind, breach.limit, breach.actual)
+    return breach.describe()
 
 
 class _SerialTransitionMachine:
@@ -231,58 +274,18 @@ def simulate_serial_transition(
 ) -> FaultSimResult:
     """Serial reference for the transition-fault model (Section 3).
 
-    A ``budget`` bounds the run by wall clock, checked between faulty
-    machines, exactly as in :func:`simulate_serial`.
+    A ``budget`` bounds the run exactly as in :func:`simulate_serial`.
     """
     fault_list = (
         sorted(faults) if faults is not None else all_transition_faults(circuit)
     )
-    clock = budget.start() if budget else None
-    start = time.perf_counter()
-    counters = WorkCounters()
-
-    good = LogicSimulator(circuit)
-    good_outputs: List[Tuple[int, ...]] = []
-    for vector in vectors:
-        good_outputs.append(good.step(vector))
-        counters.good_evaluations += circuit.num_combinational
-    counters.cycles = len(good_outputs)
-
-    detected: Dict[Fault, int] = {}
-    potential: Dict[Fault, int] = {}
-    truncation_reason = None
-    for fault in fault_list:
-        if clock is not None:
-            breach = clock.check(0, 0)  # wall clock is the only serial axis
-            if breach is not None:
-                truncation_reason = breach.describe()
-                break
-        machine = _SerialTransitionMachine(circuit, fault)
-        for cycle, vector in enumerate(vectors, start=1):
-            outputs = machine.step(vector)
-            counters.fault_evaluations += 2 * circuit.num_combinational
-            good = good_outputs[cycle - 1]
-            if (
-                fault not in potential
-                and fault not in detected
-                and _potential_mismatch(good, outputs)
-            ):
-                potential[fault] = cycle
-            if _binary_mismatch(good, outputs):
-                detected[fault] = cycle
-                if drop_detected:
-                    break
-
-    return FaultSimResult(
-        engine="serial-transition",
-        circuit_name=circuit.name,
-        num_faults=len(fault_list),
-        num_vectors=len(vectors),
-        detected=detected,
-        potentially_detected=potential,
-        counters=counters,
-        memory=MemoryStats(num_descriptors=len(fault_list)),
-        wall_seconds=time.perf_counter() - start,
-        truncated=truncation_reason is not None,
-        truncation_reason=truncation_reason,
+    return _run_machines(
+        "serial-transition",
+        circuit,
+        vectors,
+        fault_list,
+        lambda fault: _SerialTransitionMachine(circuit, fault),
+        2 * circuit.num_combinational,
+        drop_detected,
+        budget,
     )

@@ -22,7 +22,10 @@ of the *full* universe and expand detections back — bit-identical to
 simulating the whole universe; ``--collapse dominance`` adds
 fanout-free-region dominators with a serial-oracle audit of the
 conservative expansions) and ``--sanitize`` (fault-list invariant checks
-at every phase boundary).
+at every phase boundary).  Every run command lowers its flags to a
+:class:`repro.plan.RunPlan`: :func:`repro.plan.resolve_faults` turns the
+prune/collapse flags into the plan's fault list and collapse map, and
+:func:`repro.plan.execute` runs it and expands the result.
 
 Circuits are named (``s27``, ``s298`` ... — synthetic stand-ins except the
 embedded real ``s27``) or paths to ISCAS-89 ``.bench`` files.  Test sets
@@ -42,13 +45,20 @@ from repro.circuit.library import load
 from repro.circuit.netlist import NetlistError
 from repro.circuit.stats import circuit_stats
 from repro.faults.transition import all_transition_faults
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
+from repro.faults.universe import all_stuck_at_faults
 from repro.harness.reporting import format_table
 from repro.parallel.sharding import STRATEGIES
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
 from repro.patterns.vectors import format_vectors, parse_vectors
-from repro.plan import ENGINE_NAMES, RunPlan, execute, sanitized_options
+from repro.plan import (
+    ENGINE_NAMES,
+    RunPlan,
+    execute,
+    expand_result,
+    resolve_faults,
+    sanitized_options,
+)
 from repro.robust import (
     Budget,
     CampaignInterrupted,
@@ -262,67 +272,6 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _analysis_faults(args, circuit, transition: bool):
-    """Resolve ``--prune-untestable``/``--collapse`` into a fault list.
-
-    Returns ``(faults, collapsed)``: the list the engine should simulate
-    (``None`` means the engine builds its default universe itself) and the
-    :class:`~repro.analyze.CollapsedUniverse` expansion map (``None``
-    without ``--collapse``).  Composition order is prune-then-collapse:
-    pruning drops whole classes (equivalent faults are untestable
-    together), and the collapse targets the pruned *full* universe so the
-    expanded result is bit-identical to simulating every survivor.
-    """
-    collapse_mode = getattr(args, "collapse", None)
-    faults = None
-    if collapse_mode is not None:
-        faults = (
-            all_transition_faults(circuit)
-            if transition
-            else all_stuck_at_faults(circuit)
-        )
-    if args.prune_untestable:
-        from repro.analyze import prune_untestable
-
-        universe = faults
-        if universe is None:
-            universe = (
-                all_transition_faults(circuit)
-                if transition
-                else stuck_at_universe(circuit)
-            )
-        report = prune_untestable(circuit, universe)
-        print(f"# {report.summary()}", file=sys.stderr)
-        faults = report.kept
-    if collapse_mode is None:
-        return faults, None
-    from repro.analyze import collapse_universe
-
-    collapsed = collapse_universe(
-        circuit, faults, mode=collapse_mode, transition=transition
-    )
-    print(f"# {collapsed.summary()}", file=sys.stderr)
-    return list(collapsed.representatives), collapsed
-
-
-def _expand_result(circuit, tests, collapsed, result):
-    """Expand a representatives-only result onto the full universe.
-
-    Dominance-mode runs confirm every proposed inheritance against the
-    serial oracle inside :func:`repro.analyze.expand_verified`; refuted
-    proposals are dropped (left undetected) rather than emitted, and the
-    confirmation tally is reported on stderr.
-    """
-    if collapsed is None:
-        return result
-    from repro.analyze import expand_verified
-
-    expanded, report = expand_verified(circuit, tests.vectors, collapsed, result)
-    if collapsed.implied_by:
-        print(f"# {report.summary()}", file=sys.stderr)
-    return expanded
-
-
 def _add_test_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tests", help="vector file (one 0/1/X vector per line)")
     parser.add_argument(
@@ -407,20 +356,29 @@ def cmd_lint(args) -> int:
     return 1 if has_findings(diagnostics, fail_on=args.fail_on) else 0
 
 
-def plan_from_args(args, transition: bool):
+def _log(line: str) -> None:
+    print(f"# {line}", file=sys.stderr)
+
+
+def plan_from_args(args, transition: bool) -> RunPlan:
     """Lower ``simulate``/``transition`` flags to a :class:`RunPlan`.
 
     Loads the circuit and tests the flags name and resolves
-    ``--prune-untestable``/``--collapse`` into the fault list; returns
-    ``(plan, collapsed)`` where ``collapsed`` is the expansion map the
-    finished result goes through (``None`` without ``--collapse``).
+    ``--prune-untestable``/``--collapse`` into the plan's fault list and
+    collapse map (:func:`repro.plan.resolve_faults`).
     """
     circuit = load(args.circuit, scale=args.scale)
     tests = _load_tests(args, circuit)
-    faults, collapsed = _analysis_faults(args, circuit, transition=transition)
+    faults, collapsed = resolve_faults(
+        circuit,
+        transition=transition,
+        prune=args.prune_untestable,
+        collapse=args.collapse,
+        log=_log,
+    )
     engine = "csim-MV" if transition else args.engine
     trace_dir = _parallel_trace_dir(args)
-    plan = RunPlan(
+    return RunPlan(
         circuit,
         tests,
         faults,
@@ -432,16 +390,13 @@ def plan_from_args(args, transition: bool):
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         checkpoint_every=args.checkpoint_every,
-        fingerprint_extra=(
-            collapsed.fingerprint_material() if collapsed is not None else ()
-        ),
+        collapsed=collapsed,
         jobs=args.jobs,
         shard_strategy=args.shard_strategy,
         telemetry=bool(args.trace or args.profile),
         trace_dir=trace_dir,
         record_events=trace_dir is not None,
     )
-    return plan, collapsed
 
 
 def cmd_simulate(args) -> int:
@@ -461,21 +416,26 @@ def _run_campaign(args, transition: bool) -> int:
         raise ValueError("--ladder picks its own engines; --sanitize needs a fixed one")
     if ladder and args.checkpoint:
         raise ValueError("--ladder and --checkpoint are mutually exclusive")
-    plan, collapsed = plan_from_args(args, transition)
+    plan = plan_from_args(args, transition)
     circuit, tests = plan.circuit, plan.tests
     tracer = _make_tracer(args)
     cli_trace = _CliTrace(plan.trace_dir, plan.trace_ctx)
     if ladder:
         # --engine vsim puts the vector kernel on top as the fast rung;
         # any other engine choice keeps the default csim-MV-first ladder.
-        result = run_with_ladder(
+        result = expand_result(
+            plan.collapsed,
             circuit,
             tests,
-            VECTOR_LADDER if args.engine == "vsim" else DEFAULT_LADDER,
-            faults=plan.faults,
-            tracer=tracer,
-            budget=plan.budget,
-            word_width=plan.word_width,
+            run_with_ladder(
+                circuit,
+                tests,
+                VECTOR_LADDER if args.engine == "vsim" else DEFAULT_LADDER,
+                faults=plan.faults,
+                tracer=tracer,
+                budget=plan.budget,
+                word_width=plan.word_width,
+            ),
         )
     else:
         result = execute(plan, tracer)
@@ -485,7 +445,8 @@ def _run_campaign(args, transition: bool) -> int:
         cli_trace.finish(
             f"simulate {circuit.name}", engine=args.engine, jobs=args.jobs
         )
-    result = _expand_result(circuit, tests, collapsed, result)
+    if result.audit is not None:
+        _log(result.audit.summary())
     print(result.summary())
     if getattr(args, "verbose", False):
         from repro.faults.model import fault_name

@@ -12,9 +12,9 @@ sharding over worker processes, budgets, tracers, and per-shard
 checkpoints — a build killed mid-flight resumes instead of recomputing.
 
 Construction defaults to the *collapsed* universe: only equivalence-class
-representatives are simulated, and every class member inherits its
-representative's response tuple exactly
-(:meth:`repro.analyze.collapse.CollapsedUniverse.expand_responses`).
+representatives of the full pin-level universe are simulated, and every
+class member inherits its representative's response tuple exactly (the
+plan's expand layer, :func:`repro.plan.expand_result`).
 Equivalent machines are identical, so the collapsed dictionary is
 bit-identical to the full-universe one at a fraction of the cost.
 Dominance collapsing is refused: dominance argues detection, never the
@@ -44,9 +44,8 @@ if TYPE_CHECKING:
 from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault, StuckAtFault
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.patterns.vectors import TestSequence
-from repro.plan import RunPlan, execute
+from repro.plan import RunPlan, execute, resolve_faults
 from repro.result import Failure
 
 #: Recognised dictionary formats.
@@ -172,36 +171,15 @@ def build_responses(
     """
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"unknown dictionary kind {kind!r}")
-    if collapse is not None and collapse != "equivalence":
-        raise ValueError(
-            "fault dictionaries require exact response attribution; "
-            "collapse must be 'equivalence' or None, not "
-            f"{collapse!r}"
-        )
-
-    if faults is not None:
-        universe = sorted(set(faults))
-    elif collapse is not None:
-        # Collapsing targets the *full* pin-level universe — the serve
-        # layer's convention — so every pin fault gets its response by
-        # exact class inheritance at no extra simulation cost.
-        universe = all_stuck_at_faults(circuit)
-    else:
-        universe = stuck_at_universe(circuit)
-
-    collapsed = None
-    simulate_faults: List[Fault] = list(universe)
-    fingerprint_extra: tuple = ("diagnosis-dictionary", kind)
-    if collapse is not None:
-        from repro.analyze.collapse import collapse_universe
-
-        collapsed = collapse_universe(circuit, universe, mode=collapse)
-        simulate_faults = list(collapsed.representatives)
-        fingerprint_extra = fingerprint_extra + collapsed.fingerprint_material()
+    simulated, collapsed = resolve_faults(
+        circuit,
+        sorted(set(faults)) if faults is not None else None,
+        collapse=collapse,
+    )
     plan = RunPlan(
         circuit,
         tests,
-        tuple(simulate_faults),
+        tuple(simulated),
         engine=engine,
         options=options,
         word_width=word_width,
@@ -210,7 +188,8 @@ def build_responses(
         checkpoint_path=checkpoint_path,
         resume=resume,
         checkpoint_every=checkpoint_every,
-        fingerprint_extra=fingerprint_extra,
+        collapsed=collapsed,
+        fingerprint_extra=("diagnosis-dictionary", kind),
         jobs=jobs,
         shard_strategy=shard_strategy,
     )
@@ -220,11 +199,8 @@ def build_responses(
             f"dictionary build stopped early ({result.truncation_reason}); "
             "checkpoints (if any) remain for resume"
         )
-    responses = result.responses
-    assert responses is not None
-    if collapsed is not None:
-        responses = collapsed.expand_responses(responses)
-    return responses
+    assert result.responses is not None
+    return result.responses
 
 
 def build_dictionary(

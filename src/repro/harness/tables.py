@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.library import TABLE5_CIRCUIT
 from repro.circuit.stats import circuit_stats
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.harness.reporting import format_table
 from repro.harness.runner import (
     compare_engines,
@@ -40,6 +39,7 @@ from repro.harness.runner import (
     workload_transition_faults,
 )
 from repro.obs import RecordingTracer
+from repro.plan import expand_result, resolve_faults
 
 
 def _tracer_factory(telemetry: bool):
@@ -47,53 +47,6 @@ def _tracer_factory(telemetry: bool):
     if not telemetry:
         return None
     return lambda engine: RecordingTracer()
-
-
-def _pruned(circuit, faults):
-    """Drop the structurally untestable faults from *faults* (``--prune``)."""
-    from repro.analyze import prune_untestable
-
-    return prune_untestable(circuit, faults).kept
-
-
-def _stuck_at_targets(circuit, prune: bool, collapse: Optional[str]):
-    """The stuck-at fault list one cell simulates, honouring the flags.
-
-    Returns ``(faults, collapsed)``.  Without ``collapse`` this is the old
-    behaviour (``None`` → engine default universe, pruned when asked).
-    With it, the cell simulates the representatives of the *full* (pruned)
-    universe and the caller expands results through ``collapsed`` so the
-    reported fault counts and coverages are those of the full universe.
-    """
-    if collapse is None:
-        faults = _pruned(circuit, stuck_at_universe(circuit)) if prune else None
-        return faults, None
-    from repro.analyze import collapse_universe
-
-    universe = all_stuck_at_faults(circuit)
-    if prune:
-        universe = _pruned(circuit, universe)
-    collapsed = collapse_universe(circuit, universe, mode=collapse)
-    return list(collapsed.representatives), collapsed
-
-
-def _expand_all(circuit, tests, collapsed, results):
-    """Expand every result through the collapse map (no-op without one).
-
-    Equivalence maps expand exactly; dominance maps route through the
-    serial-oracle confirmation so a table cell never reports a detection
-    the full universe would not have produced.
-    """
-    if collapsed is None:
-        return results
-    if collapsed.implied_by:
-        from repro.analyze import expand_verified
-
-        return [
-            expand_verified(circuit, tests.vectors, collapsed, result)[0]
-            for result in results
-        ]
-    return [collapsed.expand(result) for result in results]
 
 
 def _cell(campaign, key, compute):
@@ -152,12 +105,7 @@ def _table2_cell(
 ) -> Row:
     circuit = workload_circuit(name, scale)
     stats = circuit_stats(circuit)
-    if collapse is not None:
-        faults, _ = _stuck_at_targets(circuit, prune, collapse)
-    else:
-        faults = stuck_at_universe(circuit)
-        if prune:
-            faults = _pruned(circuit, faults)
+    faults, _ = resolve_faults(circuit, prune=prune, collapse=collapse)
     tests = workload_tests(name, scale, "deterministic", seed=seed)
     return {
         "circuit": name,
@@ -169,6 +117,48 @@ def _table2_cell(
         "faults": len(faults),
         "patterns": len(tests),
     }
+
+
+def _compared(circuit, tests, engines, telemetry, prune, sanitize, collapse):
+    """:func:`compare_engines` over the cell's resolved fault list, each
+    result expanded back onto the full universe."""
+    faults, collapsed = resolve_faults(circuit, prune=prune, collapse=collapse)
+    return [
+        expand_result(collapsed, circuit, tests, result)
+        for result in compare_engines(
+            circuit,
+            tests,
+            engines,
+            faults=faults,
+            tracer_factory=_tracer_factory(telemetry),
+            sanitize=sanitize,
+        )
+    ]
+
+
+def _csim_mv_vs_proofs_row(name, patterns, results, deterministic) -> Row:
+    """The Tables 4/5 row: csim-MV against PROOFS on one workload."""
+    csim_mv, proofs = results
+    row: Row = {
+        "circuit": name,
+        "patterns": patterns,
+        "coverage": 100.0 * csim_mv.coverage,
+        "csim-MV_cpu": csim_mv.wall_seconds,
+        "csim-MV_mem": csim_mv.memory.peak_megabytes,
+        "PROOFS_cpu": proofs.wall_seconds,
+        "PROOFS_mem": proofs.memory.peak_megabytes,
+    }
+    for result in results:
+        _attach_telemetry(row, result)
+    return _scrub_timings(row) if deterministic else row
+
+
+def _csim_mv_vs_proofs(row: Row) -> tuple:
+    """The coverage, CPU and memory columns of a Tables 4/5 row."""
+    return tuple(
+        row[key]
+        for key in ("coverage", "csim-MV_cpu", "csim-MV_mem", "PROOFS_cpu", "PROOFS_mem")
+    )
 
 
 def _table3_cell(
@@ -183,19 +173,8 @@ def _table3_cell(
 ) -> Row:
     circuit = workload_circuit(name, scale)
     tests = workload_tests(name, scale, "deterministic", seed=seed)
-    faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
-    results = _expand_all(
-        circuit,
-        tests,
-        collapsed,
-        compare_engines(
-            circuit,
-            tests,
-            _TABLE3_ENGINES,
-            faults=faults,
-            tracer_factory=_tracer_factory(telemetry),
-            sanitize=sanitize,
-        ),
+    results = _compared(
+        circuit, tests, _TABLE3_ENGINES, telemetry, prune, sanitize, collapse
     )
     row: Row = {
         "circuit": name,
@@ -222,33 +201,10 @@ def _table4_cell(
 ) -> Row:
     circuit = workload_circuit(name, scale)
     tests = workload_tests(name, scale, "deterministic-high", seed=seed)
-    faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
-    results = _expand_all(
-        circuit,
-        tests,
-        collapsed,
-        compare_engines(
-            circuit,
-            tests,
-            ("csim-MV", "PROOFS"),
-            faults=faults,
-            tracer_factory=_tracer_factory(telemetry),
-            sanitize=sanitize,
-        ),
+    results = _compared(
+        circuit, tests, ("csim-MV", "PROOFS"), telemetry, prune, sanitize, collapse
     )
-    csim_mv, proofs = results
-    row: Row = {
-        "circuit": name,
-        "patterns": len(tests),
-        "coverage": 100.0 * csim_mv.coverage,
-        "csim-MV_cpu": csim_mv.wall_seconds,
-        "csim-MV_mem": csim_mv.memory.peak_megabytes,
-        "PROOFS_cpu": proofs.wall_seconds,
-        "PROOFS_mem": proofs.memory.peak_megabytes,
-    }
-    for result in results:
-        _attach_telemetry(row, result)
-    return _scrub_timings(row) if deterministic else row
+    return _csim_mv_vs_proofs_row(name, len(tests), results, deterministic)
 
 
 def _table5_cell(
@@ -264,33 +220,10 @@ def _table5_cell(
 ) -> Row:
     circuit = workload_circuit(circuit_name, scale)
     tests = workload_tests(circuit_name, scale, "random", length=count, seed=seed)
-    faults, collapsed = _stuck_at_targets(circuit, prune, collapse)
-    results = _expand_all(
-        circuit,
-        tests,
-        collapsed,
-        compare_engines(
-            circuit,
-            tests,
-            ("csim-MV", "PROOFS"),
-            faults=faults,
-            tracer_factory=_tracer_factory(telemetry),
-            sanitize=sanitize,
-        ),
+    results = _compared(
+        circuit, tests, ("csim-MV", "PROOFS"), telemetry, prune, sanitize, collapse
     )
-    csim_mv, proofs = results
-    row: Row = {
-        "circuit": circuit_name,
-        "patterns": count,
-        "coverage": 100.0 * csim_mv.coverage,
-        "csim-MV_cpu": csim_mv.wall_seconds,
-        "csim-MV_mem": csim_mv.memory.peak_megabytes,
-        "PROOFS_cpu": proofs.wall_seconds,
-        "PROOFS_mem": proofs.memory.peak_megabytes,
-    }
-    for result in results:
-        _attach_telemetry(row, result)
-    return _scrub_timings(row) if deterministic else row
+    return _csim_mv_vs_proofs_row(circuit_name, count, results, deterministic)
 
 
 def _table6_cell(
@@ -305,51 +238,43 @@ def _table6_cell(
 ) -> Row:
     circuit = workload_circuit(name, scale)
     tests = workload_tests(name, scale, "deterministic", seed=seed)
-    faults = workload_transition_faults(name, scale)
-    if prune:
-        faults = _pruned(circuit, faults)
-    run_faults, t_collapsed = faults, None
-    if collapse is not None:
-        from repro.analyze import collapse_universe
-
-        t_collapsed = collapse_universe(
-            circuit, faults, mode=collapse, transition=True
-        )
-        run_faults = list(t_collapsed.representatives)
-    result = _expand_all(
+    faults, t_collapsed = resolve_faults(
         circuit,
-        tests,
+        workload_transition_faults(name, scale),
+        transition=True,
+        prune=prune,
+        collapse=collapse,
+    )
+    result = expand_result(
         t_collapsed,
-        [
-            run_transition(
-                circuit,
-                tests,
-                split_lists=True,
-                faults=run_faults,
-                tracer=RecordingTracer() if telemetry else None,
-                sanitize=sanitize,
-            )
-        ],
-    )[0]
-    stuck_faults, s_collapsed = _stuck_at_targets(circuit, prune, collapse)
-    stuck = _expand_all(
         circuit,
         tests,
+        run_transition(
+            circuit,
+            tests,
+            split_lists=True,
+            faults=faults,
+            tracer=RecordingTracer() if telemetry else None,
+            sanitize=sanitize,
+        ),
+    )
+    stuck_faults, s_collapsed = resolve_faults(circuit, prune=prune, collapse=collapse)
+    stuck = expand_result(
         s_collapsed,
-        [
-            run_stuck_at(
-                circuit,
-                tests,
-                "csim-MV",
-                faults=stuck_faults,
-                options=(
-                    engine_options("csim-MV").with_(sanitize=True)
-                    if sanitize
-                    else None
-                ),
-            )
-        ],
-    )[0]
+        circuit,
+        tests,
+        run_stuck_at(
+            circuit,
+            tests,
+            "csim-MV",
+            faults=stuck_faults,
+            options=(
+                engine_options("csim-MV").with_(sanitize=True)
+                if sanitize
+                else None
+            ),
+        ),
+    )
     row: Row = {
         "circuit": name,
         "faults": result.num_faults,
@@ -486,18 +411,7 @@ def table4(
     ]
     text = format_table(
         ["ckt", "#ptns", "cvg%", "csim-MV CPU", "csim-MV MEM", "PROOFS CPU", "PROOFS MEM"],
-        [
-            (
-                r["circuit"],
-                r["patterns"],
-                r["coverage"],
-                r["csim-MV_cpu"],
-                r["csim-MV_mem"],
-                r["PROOFS_cpu"],
-                r["PROOFS_mem"],
-            )
-            for r in rows
-        ],
+        [(r["circuit"], r["patterns"], *_csim_mv_vs_proofs(r)) for r in rows],
         title="Table 4. Deterministic patterns (II) — higher-coverage tests",
     )
     return rows, text
@@ -542,17 +456,7 @@ def table5(
     ]
     text = format_table(
         ["#ptns", "flt cvg%", "csim-MV CPU", "csim-MV MEM", "PROOFS CPU", "PROOFS MEM"],
-        [
-            (
-                r["patterns"],
-                r["coverage"],
-                r["csim-MV_cpu"],
-                r["csim-MV_mem"],
-                r["PROOFS_cpu"],
-                r["PROOFS_mem"],
-            )
-            for r in rows
-        ],
+        [(r["patterns"], *_csim_mv_vs_proofs(r)) for r in rows],
         title=f"Table 5. Random pattern simulation ({circuit_name}, scale={scale})",
     )
     return rows, text
@@ -622,61 +526,28 @@ def plan_cells(
     t5_scale = 0.03 if quick else 0.05
     t5_counts = (100, 200) if quick else (200, 400, 800)
     seed = DEFAULT_SEED
-    cells: List[tuple] = []
-    for name in t3_circuits:
-        cells.append(
-            (("table2", name), ("table2", (name, scale, seed, prune, collapse)))
+    # The trailing cell arguments every timed table shares (telemetry off).
+    tail = (False, deterministic, prune, sanitize, collapse)
+    cells: List[tuple] = [
+        (("table2", name), ("table2", (name, scale, seed, prune, collapse)))
+        for name in t3_circuits
+    ]
+    cells += [
+        ((table, name), (table, (name, scale, seed, *tail)))
+        for table, names in (("table3", t3_circuits), ("table4", DEFAULT_TABLE4))
+        for name in names
+    ]
+    cells += [
+        (
+            ("table5", TABLE5_CIRCUIT, count),
+            ("table5", (TABLE5_CIRCUIT, t5_scale, count, seed, *tail)),
         )
-    for name in t3_circuits:
-        cells.append(
-            (
-                ("table3", name),
-                (
-                    "table3",
-                    (name, scale, seed, False, deterministic, prune, sanitize, collapse),
-                ),
-            )
-        )
-    for name in DEFAULT_TABLE4:
-        cells.append(
-            (
-                ("table4", name),
-                (
-                    "table4",
-                    (name, scale, seed, False, deterministic, prune, sanitize, collapse),
-                ),
-            )
-        )
-    for count in t5_counts:
-        cells.append(
-            (
-                ("table5", TABLE5_CIRCUIT, count),
-                (
-                    "table5",
-                    (
-                        TABLE5_CIRCUIT,
-                        t5_scale,
-                        count,
-                        seed,
-                        False,
-                        deterministic,
-                        prune,
-                        sanitize,
-                        collapse,
-                    ),
-                ),
-            )
-        )
-    for name in DEFAULT_TABLE6:
-        cells.append(
-            (
-                ("table6", name),
-                (
-                    "table6",
-                    (name, scale, seed, False, deterministic, prune, sanitize, collapse),
-                ),
-            )
-        )
+        for count in t5_counts
+    ]
+    cells += [
+        (("table6", name), ("table6", (name, scale, seed, *tail)))
+        for name in DEFAULT_TABLE6
+    ]
     return cells
 
 

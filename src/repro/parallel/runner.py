@@ -67,7 +67,9 @@ def plan_shards(plan: RunPlan) -> List[RunPlan]:
     Each sub-plan runs one shard's faults in-process (``jobs=1``) and binds
     its checkpoint to ``<path>.shardII-of-NN`` with its (strategy, index,
     total) position in the fingerprint; it resumes only when that file
-    exists.
+    exists.  Sub-plans carry no collapse map: its fingerprint material is
+    already in the parent's ``fingerprint_extra``, and the parent expands
+    the merged result.
     """
     assert plan.faults is not None
     shards = shard_faults(
@@ -86,6 +88,7 @@ def plan_shards(plan: RunPlan) -> List[RunPlan]:
             replace(
                 plan,
                 faults=tuple(shard),
+                collapsed=None,
                 jobs=1,
                 shard=(index, total),
                 checkpoint_path=path,

@@ -1,16 +1,18 @@
 """One run plan, one executor.
 
 A :class:`RunPlan` is the complete description of one fault-simulation
-campaign: circuit, tests, the resolved fault list, the engine and its
-options, budget, checkpoint binding, sharding and tracing.  It is frozen
-and picklable, so the same object describes a whole campaign and — with
-``jobs == 1`` and a ``shard`` position — each shard a worker process
-runs.  Its constructor is the single place that refuses option
+campaign: circuit, tests, the resolved fault list and its collapse map,
+the engine and its options, budget, checkpoint binding, sharding and
+tracing.  It is frozen and picklable, so the same object describes a
+whole campaign and — with ``jobs == 1`` and a ``shard`` position — each
+shard a worker process runs.  Its constructor is the single place that refuses option
 combinations no engine can honour, so every accepted option is either
 honoured or rejected up front, on every path.
 
 :func:`execute` composes the layers in a fixed order:
 
+0. **resolve** (before the plan is built): :func:`resolve_faults` is
+   the one place a fault list is pruned and collapsed;
 1. **shard** (only when ``jobs > 1``): partition the fault list, execute
    one sub-plan per shard in worker processes (or any executor), merge
    (:mod:`repro.parallel.runner`);
@@ -19,7 +21,9 @@ honoured or rejected up front, on every path.
    * the serial oracle (``engine == "serial"``),
    * the checkpoint loop (:mod:`repro.robust.runner`) when a checkpoint
      path is set,
-   * otherwise the engine's own ``run()``.
+   * otherwise the engine's own ``run()``;
+3. **expand** (only with a collapse map): representatives back onto the
+   full universe (:func:`expand_result`).
 
 The CLI, the service, the dictionary builder and the harness entry points
 all lower their inputs to a plan and call :func:`execute`; none of them
@@ -29,7 +33,7 @@ picks a runner itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from repro.baselines.proofs import ProofsSimulator
 from repro.baselines.serial import simulate_serial, simulate_serial_transition
@@ -39,11 +43,12 @@ from repro.concurrent.options import SimOptions
 from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.faults.model import Fault
 from repro.faults.transition import all_transition_faults
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
 
 if TYPE_CHECKING:
+    from repro.analyze.collapse import CollapsedUniverse
     from repro.obs.span import TraceContext
     from repro.obs.tracer import Tracer
     from repro.robust.budget import Budget
@@ -87,6 +92,7 @@ def check_options(
     jobs: int = 1,
     shard_strategy: str = "round-robin",
     checkpointed: bool = False,
+    collapse: Optional[str] = None,
 ) -> None:
     """Refuse option combinations no engine can honour (``ValueError``).
 
@@ -149,6 +155,19 @@ def check_options(
             "the serial oracle has no incremental simulator object, so it "
             "cannot checkpoint"
         )
+    if collapse is not None:
+        from repro.analyze.collapse import COLLAPSE_MODES
+
+        if collapse not in COLLAPSE_MODES:
+            raise ValueError(
+                f"unknown collapse mode {collapse!r}; choose from {COLLAPSE_MODES}"
+            )
+        if record_responses and collapse != "equivalence":
+            # Dominance argues detection, never the response shape.
+            raise ValueError(
+                "fault dictionaries require exact response attribution; "
+                f"collapse must be 'equivalence' or None, not {collapse!r}"
+            )
 
 
 def sanitized_options(engine: str, transition: bool = False) -> SimOptions:
@@ -167,7 +186,10 @@ class RunPlan:
     """Every execution knob of one campaign, exactly once (picklable).
 
     ``faults`` is the resolved fault list (``None`` resolves to the
-    model's default universe at construction).  ``options`` overrides the
+    model's default universe at construction) and ``collapsed`` the
+    collapse map it came from (see :func:`resolve_faults`): its
+    fingerprint material is appended to ``fingerprint_extra`` and the
+    finished result is expanded through it.  ``options`` overrides the
     engine name's :class:`SimOptions` for the concurrent engines; for a
     transition run any concurrent engine name selects the two-pass
     transition engine (``csim-TV`` unless ``options`` says otherwise).
@@ -190,8 +212,9 @@ class RunPlan:
     checkpoint_path: Optional[str] = None
     resume: bool = False
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
-    #: Extra checkpoint fingerprint material (collapse map, dictionary
-    #: kind, a shard's position in its campaign).
+    collapsed: Optional["CollapsedUniverse"] = None
+    #: Extra checkpoint fingerprint material (dictionary kind, a shard's
+    #: position in its campaign; the collapse map's is appended).
     fingerprint_extra: tuple = ()
     jobs: int = 1
     shard_strategy: str = "round-robin"
@@ -215,6 +238,7 @@ class RunPlan:
             jobs=self.jobs,
             shard_strategy=self.shard_strategy,
             checkpointed=self.checkpoint_path is not None,
+            collapse=self.collapsed.mode if self.collapsed is not None else None,
         )
         if self.resume and self.checkpoint_path is None:
             from repro.robust.checkpoint import CheckpointError
@@ -228,14 +252,16 @@ class RunPlan:
             )
             object.__setattr__(self, "options", default)
         if self.faults is None:
-            universe = (
-                all_transition_faults(self.circuit)
-                if self.transition
-                else stuck_at_universe(self.circuit)
-            )
+            universe, _ = resolve_faults(self.circuit, transition=self.transition)
             object.__setattr__(self, "faults", tuple(universe))
         elif not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
+        if self.collapsed is not None:
+            object.__setattr__(
+                self,
+                "fingerprint_extra",
+                self.fingerprint_extra + self.collapsed.fingerprint_material(),
+            )
         if self.trace_dir is not None and self.trace_ctx is None:
             from repro.obs.span import TraceContext
 
@@ -254,6 +280,79 @@ class RunPlan:
             record_responses=self.record_responses,
             transition=self.transition,
         )
+
+
+def resolve_faults(
+    circuit: Circuit,
+    faults: Optional[Iterable[Fault]] = None,
+    *,
+    transition: bool = False,
+    prune: bool = False,
+    collapse: Optional[str] = None,
+    log: Optional[Callable[[str], None]] = None,
+) -> Tuple[List[Fault], Optional["CollapsedUniverse"]]:
+    """The fault list a campaign simulates, and the map to expand it back.
+
+    The base list is *faults*; without it, the full pin-level universe
+    when collapsing (every pin fault then gets its result by exact class
+    inheritance) and the model's default universe otherwise.  ``prune``
+    drops the provably untestable faults, then ``collapse``
+    (``"equivalence"``/``"dominance"``) reduces the survivors to class
+    representatives — pruning first drops whole classes, since equivalent
+    faults are untestable together.  Returns ``(faults, collapsed)``,
+    ``collapsed`` being ``None`` without ``collapse``; ``log`` receives
+    the prune and collapse summary lines.
+    """
+    if faults is None:
+        if transition:
+            faults = all_transition_faults(circuit)
+        elif collapse is not None:
+            faults = all_stuck_at_faults(circuit)
+        else:
+            faults = stuck_at_universe(circuit)
+    universe = list(faults)
+    if prune:
+        from repro.analyze.untestable import prune_untestable
+
+        report = prune_untestable(circuit, universe)
+        universe = list(report.kept)
+        if log is not None:
+            log(report.summary())
+    if collapse is None:
+        return universe, None
+    from repro.analyze.collapse import collapse_universe
+
+    collapsed = collapse_universe(circuit, universe, mode=collapse, transition=transition)
+    if log is not None:
+        log(collapsed.summary())
+    return list(collapsed.representatives), collapsed
+
+
+def expand_result(
+    collapsed: Optional["CollapsedUniverse"],
+    circuit: Circuit,
+    tests: TestSequence,
+    result: FaultSimResult,
+) -> FaultSimResult:
+    """The expand layer: a representatives-only result onto its universe.
+
+    Detections expand through
+    :func:`~repro.analyze.collapse.expand_verified` — equivalence classes
+    exactly, dominance proposals only where the serial oracle confirms
+    them (its report rides on ``result.audit``) — and recorded responses
+    exactly through the class map.  Without a map the result is returned
+    as is.
+    """
+    if collapsed is None:
+        return result
+    from repro.analyze.collapse import expand_verified
+
+    expanded, audit = expand_verified(circuit, tests.vectors, collapsed, result)
+    if result.responses is not None:
+        expanded.responses = collapsed.expand_responses(result.responses)
+    if collapsed.implied_by:
+        expanded.audit = audit
+    return expanded
 
 
 def make_simulator(
@@ -310,7 +409,7 @@ def execute(
     tracer: Optional["Tracer"] = None,
     executor=None,
 ) -> FaultSimResult:
-    """Run *plan*: shard layer when ``jobs > 1``, then exactly one leaf.
+    """Run *plan*: shard layer when ``jobs > 1``, one leaf, then expand.
 
     ``tracer`` instruments an in-process run; a sharded run records
     per-worker telemetry instead when ``plan.telemetry`` (a tracer cannot
@@ -321,16 +420,18 @@ def execute(
     if plan.jobs > 1:
         from repro.parallel.runner import run_shards
 
-        return run_shards(plan, executor)
-    if plan.trace_dir is not None:
+        result = run_shards(plan, executor)
+    elif plan.trace_dir is not None:
         from repro.parallel.executor import run_traced
 
-        return run_traced(plan, tracer)
-    if tracer is None and plan.telemetry:
-        from repro.obs.tracer import RecordingTracer
+        result = run_traced(plan, tracer)
+    else:
+        if tracer is None and plan.telemetry:
+            from repro.obs.tracer import RecordingTracer
 
-        tracer = RecordingTracer()
-    return run_leaf(plan, tracer)
+            tracer = RecordingTracer()
+        result = run_leaf(plan, tracer)
+    return expand_result(plan.collapsed, plan.circuit, plan.tests, result)
 
 
 def run_leaf(plan: RunPlan, tracer: Optional["Tracer"] = None) -> FaultSimResult:

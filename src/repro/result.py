@@ -22,6 +22,7 @@ from repro.faults.model import Fault
 Failure = Tuple[int, int]
 
 if TYPE_CHECKING:
+    from repro.analyze.collapse import AuditReport
     from repro.obs.metrics import Telemetry
 
 
@@ -117,6 +118,9 @@ class FaultSimResult:
     #: type-checking-only so this module stays import-light at runtime
     #: (obs imports result, not back).
     telemetry: Optional[Telemetry] = None
+    #: Serial-oracle confirmation of the dominance-inherited detections
+    #: when the result was expanded through a dominance collapse map.
+    audit: Optional[AuditReport] = None
 
     @property
     def num_detected(self) -> int:

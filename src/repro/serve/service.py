@@ -742,16 +742,6 @@ class FaultSimService:
             simulate_wall = time.time()
             sim_ctx = root.child() if root is not None else None
             result = self._simulate(record, spec, resolved, sim_ctx, heartbeat)
-            if spec.dictionary is None and resolved.collapsed is not None:
-                # Representatives -> full universe, so the serialized blob
-                # is what a full-universe submission would have produced.
-                # Dominance proposals are oracle-confirmed before the blob
-                # can claim them.
-                from repro.analyze import expand_verified
-
-                result, _audit = expand_verified(
-                    resolved.circuit, resolved.tests.vectors, resolved.collapsed, result
-                )
             self.metrics.phase("simulate", time.perf_counter() - simulate_started)
             if self.spans is not None and sim_ctx is not None:
                 self.spans.emit(
@@ -951,20 +941,13 @@ class FaultSimService:
         (attempts > 1) and resurrections (attempts reset to 0), sharded or
         not, pick up where the last durable cycle left off.
         """
-        fingerprint_extra = (
-            resolved.collapsed.fingerprint_material()
-            if resolved.collapsed is not None
-            else ()
-        )
+        fingerprint_extra: tuple = ()
         if spec.dictionary is not None:
             # PROOFS/vsim checkpoint labels do not distinguish recording
             # runs from dropping ones, so the prefix keeps a dictionary
             # build's checkpoints from ever seeding (or being seeded by) a
             # plain detection job over the same inputs.
-            fingerprint_extra = (
-                "diagnosis-dictionary",
-                spec.dictionary,
-            ) + fingerprint_extra
+            fingerprint_extra = ("diagnosis-dictionary", spec.dictionary)
         checkpoint_path = None
         resume = False
         if spec.engine != "serial":  # the oracle has no snapshot support
@@ -988,6 +971,7 @@ class FaultSimService:
             checkpoint_path=checkpoint_path,
             resume=resume,
             checkpoint_every=self.config.checkpoint_every,
+            collapsed=resolved.collapsed,
             fingerprint_extra=fingerprint_extra,
             jobs=spec.jobs,
             shard_strategy=spec.shard_strategy,
@@ -1014,15 +998,12 @@ class FaultSimService:
                 f"dictionary build stopped early ({result.truncation_reason}); "
                 "checkpoints (if any) remain for resume"
             )
-        responses = result.responses
-        assert responses is not None  # _simulate ran with record_responses
-        if resolved.collapsed is not None:
-            responses = resolved.collapsed.expand_responses(responses)
+        assert result.responses is not None  # _simulate recorded them
         assert spec.dictionary is not None
         blob = encode_dictionary(
             resolved.circuit.name,
             len(resolved.tests),
-            responses,
+            result.responses,
             spec.dictionary,
             collapse=spec.collapse,
         )

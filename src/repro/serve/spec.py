@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Tuple
 
 from repro.circuit.library import load as load_circuit
 from repro.circuit.netlist import Circuit, NetlistError
@@ -27,7 +27,7 @@ from repro.circuit.bench import parse_bench
 from repro.faults.model import Fault
 from repro.faults.transition import all_transition_faults
 from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
-from repro.plan import check_options, sanitized_options
+from repro.plan import check_options, resolve_faults, sanitized_options
 from repro.vector.packing import validate_word_width
 
 if TYPE_CHECKING:
@@ -172,10 +172,6 @@ class JobSpec:
         jobs = _opt_int(payload, "jobs", 1)
         transition = _opt_bool(payload, "transition")
         collapse = _opt_str(payload, "collapse")
-        if collapse is not None and collapse not in ("equivalence", "dominance"):
-            raise SpecError(
-                "'collapse' must be 'equivalence' or 'dominance'"
-            )
         dictionary = _opt_str(payload, "dictionary")
         if dictionary is not None:
             from repro.diagnosis.dictionary import DICTIONARY_KINDS
@@ -183,11 +179,6 @@ class JobSpec:
             if dictionary not in DICTIONARY_KINDS:
                 raise SpecError(
                     f"'dictionary' must be one of {DICTIONARY_KINDS}"
-                )
-            if collapse == "dominance":
-                raise SpecError(
-                    "dictionary builds need exact response attribution; "
-                    "'collapse' must be 'equivalence' (or omitted)"
                 )
         sanitize = _opt_bool(payload, "sanitize")
         random_patterns = _opt_int(payload, "random_patterns", 64)
@@ -221,6 +212,7 @@ class JobSpec:
                 record_responses=dictionary is not None,
                 jobs=jobs,
                 shard_strategy=strategy,
+                collapse=collapse,
             )
         except ValueError as exc:
             raise SpecError(str(exc)) from None
@@ -313,7 +305,7 @@ class ResolvedJob:
     """A spec materialized into engine-ready objects.
 
     With ``spec.collapse`` set, ``faults`` holds the class
-    *representatives* and ``collapsed`` the expansion map the worker
+    *representatives* and ``collapsed`` the expansion map the job's plan
     applies to the finished result before serialization.
     """
 
@@ -376,63 +368,35 @@ class SpecResolver:
                 raise SpecError("'vectors' contains no vectors")
         else:
             tests = random_sequence(circuit, spec.random_patterns, seed=spec.seed)
-        if spec.collapse is not None:
-            # Collapsing targets the *full* universe: the job simulates the
-            # representatives and the worker expands the result back, so
-            # the serialized blob matches a full-universe run exactly.
-            universe = list(
-                all_transition_faults(circuit)
-                if spec.transition
-                else all_stuck_at_faults(circuit)
+        # The universe builders are looked up on this module, so
+        # instrumentation wrapping them sees every resolve.
+        universe: Iterable[Fault]
+        if spec.transition:
+            universe = all_transition_faults(circuit)
+        elif spec.collapse is not None:
+            universe = all_stuck_at_faults(circuit)
+        else:
+            universe = stuck_at_universe(circuit)
+        # A collapse map is a pure function of the circuit source and the
+        # analysis options, so batched queue-mates and warm resubmissions
+        # share one map: the static pass runs once per source, not per job.
+        key = spec.circuit_source() + (
+            spec.transition, spec.prune_untestable, spec.collapse
+        )
+        collapsed = self._collapses.get(key)
+        if collapsed is None:
+            faults, collapsed = resolve_faults(
+                circuit,
+                universe,
+                transition=spec.transition,
+                prune=spec.prune_untestable,
+                collapse=spec.collapse,
             )
         else:
-            universe = list(
-                all_transition_faults(circuit)
-                if spec.transition
-                else stuck_at_universe(circuit)
-            )
-        if spec.prune_untestable:
-            from repro.analyze import prune_untestable
-
-            universe = list(prune_untestable(circuit, universe).kept)
-        collapsed: Optional["CollapsedUniverse"] = None
-        if spec.collapse is not None:
-            collapsed = self._collapsed_for(spec, circuit, universe)
-            universe = list(collapsed.representatives)
-        return ResolvedJob(
-            spec=spec,
-            circuit=circuit,
-            tests=tests,
-            faults=universe,
-            collapsed=collapsed,
-        )
-
-    def _collapsed_for(
-        self, spec: JobSpec, circuit: Circuit, universe: List[Fault]
-    ) -> "CollapsedUniverse":
-        """The collapse map for one spec, memoized with the circuit LRU.
-
-        The map is a pure function of the circuit source and the analysis
-        options, so batched queue-mates sharing a parsed circuit share its
-        collapse map too — the static pass runs once per batch, not once
-        per job.
-        """
-        key = spec.circuit_source() + (
-            spec.transition,
-            spec.prune_untestable,
-            spec.collapse,
-        )
-        cached = self._collapses.get(key)
-        if cached is not None:
+            faults = list(collapsed.representatives)
+        if collapsed is not None:
+            self._collapses[key] = collapsed
             self._collapses.move_to_end(key)
-            return cached
-        from repro.analyze import collapse_universe
-
-        assert spec.collapse is not None
-        collapsed = collapse_universe(
-            circuit, universe, mode=spec.collapse, transition=spec.transition
-        )
-        self._collapses[key] = collapsed
-        while len(self._collapses) > self.capacity:
-            self._collapses.popitem(last=False)
-        return collapsed
+            while len(self._collapses) > self.capacity:
+                self._collapses.popitem(last=False)
+        return ResolvedJob(spec, circuit, tests, faults, collapsed)

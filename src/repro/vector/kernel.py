@@ -178,10 +178,14 @@ class VectorFaultSimulator(ProofsSimulator):
                     break
             live = sum(1 for fault in self.faults if fault not in self.detected)
             depth = len(vector_list) - index
+            if budget and budget.max_cycles is not None:
+                # A window never runs past the cycle budget: the breach
+                # then lands on the same cycle as in every other engine.
+                depth = min(depth, budget.max_cycles - self.counters.cycles)
             decision = self.scheduler.choose(self.cycle + 1, live, depth)
             self.axis_log.append(decision)
             self.axis_windows[decision.axis] = self.axis_windows.get(decision.axis, 0) + 1
-            window = vector_list[index : index + self.word_width]
+            window = vector_list[index : index + min(self.word_width, depth)]
             if decision.axis == "pattern":
                 self._pattern_window(window)
                 applied += len(window)

@@ -15,6 +15,8 @@ from repro.concurrent.options import SimOptions
 from repro.harness.runner import run_stuck_at, run_transition
 from repro.parallel import SequentialExecutor, run_parallel
 from repro.patterns.random_gen import random_sequence
+from repro.plan import ENGINE_NAMES, RunPlan, execute
+from repro.robust import Budget, run_with_ladder
 from repro.serve import FaultSimService, ServeConfig, serialize_result
 from repro.serve.spec import SpecError
 
@@ -123,3 +125,81 @@ class TestServedSpecs:
         concurrent_doc = json.loads(service.result_bytes(concurrent.job_id))
         assert serial_doc["engine"] == "serial-transition"
         assert serial_doc["detected"] == concurrent_doc["detected"]
+
+
+# ----------------------------------------------------------------------
+# A cycle budget means the same cut on every engine and every shape
+# ----------------------------------------------------------------------
+
+BUDGET_SHAPES = {
+    "in-process": dict(),
+    "sharded": dict(jobs=2),
+    "checkpointed": dict(checkpoint=True),
+}
+
+
+def _budgeted(s298, tmp_path, shape, **plan_kwargs):
+    """One s298 run of 64 random vectors under a 7-cycle budget."""
+    tests = random_sequence(s298, 64, seed=3)
+    kwargs = dict(plan_kwargs, jobs=BUDGET_SHAPES[shape].get("jobs", 1))
+    if BUDGET_SHAPES[shape].get("checkpoint"):
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        kwargs["checkpoint_path"] = str(tmp_path / "ck.pkl")
+    plan = RunPlan(s298, tests, budget=Budget(max_cycles=7), **kwargs)
+    return execute(plan, executor=SequentialExecutor())
+
+
+def _outcome(result):
+    return (
+        result.detected,
+        result.potentially_detected,
+        result.num_vectors,
+        result.truncation_reason,
+    )
+
+
+class TestCycleBudgetHonoured:
+    @pytest.mark.parametrize("shape", BUDGET_SHAPES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_stuck_at_matches_csim_mv(self, s298, engine, shape, tmp_path):
+        if engine == "serial" and shape == "checkpointed":
+            with pytest.raises(ValueError, match="serial"):
+                _budgeted(s298, tmp_path, shape, engine=engine)
+            return
+        reference = _budgeted(s298, tmp_path / "ref", shape, engine="csim-MV")
+        assert reference.truncated and reference.num_vectors == 7
+        result = _budgeted(s298, tmp_path, shape, engine=engine)
+        assert _outcome(result) == _outcome(reference)
+
+    @pytest.mark.parametrize("shape", ["in-process", "sharded"])
+    def test_serial_transition_matches_csim_tv(self, s298, shape, tmp_path):
+        reference = _budgeted(s298, tmp_path, shape, transition=True)
+        result = _budgeted(s298, tmp_path, shape, transition=True, engine="serial")
+        assert reference.truncated and reference.num_vectors == 7
+        assert _outcome(result) == _outcome(reference)
+
+    def test_ladder_serial_rung(self, s298):
+        tests = random_sequence(s298, 64, seed=3)
+        budget = Budget(max_cycles=7)
+        reference = run_stuck_at(s298, tests, budget=budget)
+        result = run_with_ladder(s298, tests, ("serial",), budget=budget)
+        assert _outcome(result) == _outcome(reference)
+
+    def test_serial_memory_budget_against_its_model(self, s298):
+        tests = random_sequence(s298, 8, seed=3)
+        result = run_stuck_at(
+            s298, tests, "serial", budget=Budget(max_memory_bytes=1)
+        )
+        assert result.truncated and "memory" in result.truncation_reason
+        assert result.detected == {}
+
+    def test_served_serial_job_truncates(self, tmp_path):
+        service = make_service(tmp_path)
+        record, _ = service.submit(
+            {"circuit": "s27", "engine": "serial", "random_patterns": 40,
+             "seed": 1, "max_cycles": 5}
+        )
+        assert service.drain() == 1
+        document = json.loads(service.result_bytes(record.job_id))
+        assert document["truncated"] and document["num_vectors"] == 5
+        assert document["truncation_reason"] == "cycle budget exceeded (5 >= 5)"

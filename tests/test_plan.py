@@ -9,14 +9,19 @@ import dataclasses
 
 import pytest
 
+from repro.analyze.collapse import collapse_universe
 from repro.analyze.sanitize import FaultListSanitizer
 from repro.circuit.library import load
 from repro.cli import main
 from repro.concurrent.options import SimOptions
+from repro.faults.universe import all_stuck_at_faults
 from repro.parallel import SequentialExecutor
+from repro.parallel.runner import shard_checkpoint_path
+from repro.parallel.sharding import DEFAULT_OVERSHARD, shard_faults
 from repro.patterns.random_gen import random_sequence
 from repro.plan import RunPlan, execute
-from repro.robust.checkpoint import circuit_fingerprint
+from repro.robust.checkpoint import circuit_fingerprint, read_checkpoint
+from repro.robust.runner import run_fingerprint
 from repro.serve import FaultSimService, ServeConfig
 
 SHAPES = {
@@ -175,6 +180,11 @@ LOWERING_CASES = [
      {"engine": "csim", "dictionary": "full", "collapse": "equivalence"}),
     (["build-dictionary", "s27", "--kind", "passfail", "--jobs", "2"],
      {"dictionary": "passfail", "collapse": "equivalence", "jobs": 2}),
+    (["simulate", "s27", "--prune-untestable"], {"prune_untestable": True}),
+    (["simulate", "s27", "--collapse", "dominance", "--jobs", "2"],
+     {"collapse": "dominance", "jobs": 2}),
+    (["transition", "s27", "--prune-untestable", "--collapse"],
+     {"transition": True, "prune_untestable": True, "collapse": "equivalence"}),
 ]
 
 
@@ -224,3 +234,34 @@ def test_cli_and_serve_lower_to_the_same_plan(
     assert service.status(record.job_id).state == "done"
     assert len(cli_plans) == len(served_plans) == 1
     assert _identity(cli_plans[0]) == _identity(served_plans[0])
+
+
+# ----------------------------------------------------------------------
+# The collapse map's fingerprint material, exactly once per checkpoint
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_collapsed_checkpoint_fingerprint(jobs, tmp_path, sequential_shards):
+    path = str(tmp_path / "ck.pkl")
+    argv = ["simulate", "s27", "--random-patterns", "24", "--seed", "5",
+            "--collapse", "--checkpoint", path, "--max-cycles", "5",
+            "--jobs", str(jobs)]
+    assert main(argv) == 0
+    circuit = load("s27")
+    tests = random_sequence(circuit, 24, seed=5)
+    collapsed = collapse_universe(circuit, all_stuck_at_faults(circuit))
+    material = collapsed.fingerprint_material()
+    reps = collapsed.representatives
+    if jobs == 1:
+        expected = {path: run_fingerprint(circuit, tests, "csim-MV", reps, False, material)}
+    else:
+        shards = shard_faults(circuit, sorted(reps), jobs, "round-robin", DEFAULT_OVERSHARD)
+        expected = {
+            shard_checkpoint_path(path, index, len(shards)): run_fingerprint(
+                circuit, tests, "csim-MV", shard, False,
+                (*material, "shard", "round-robin", index, len(shards)),
+            )
+            for index, shard in enumerate(shards)
+        }
+    assert {p: read_checkpoint(p).fingerprint for p in expected} == expected
