@@ -13,20 +13,38 @@ the region's internal gates with the stuck line forced ("stuck at faults may
 be translated into functional faults which can be represented by look up
 table entries").
 
-Both the good tables and the faulty tables are built by simulating the
-internal gates with the same three-valued algebra the flat simulator uses,
-so a macro circuit is *value-exact* against the flat circuit — the
-cross-validation tests rely on this.
+Good and faulty tables come from one builder, :func:`region_table`.  It
+lowers a region to its *shape* (pin slots plus each internal gate's type
+and local fanin slots) and a fault to its position in that shape, then
+composes the gates' primitive packed tables over the region's legal input
+rows.  Tables are memoized per (shape, fault position) for the whole
+process, so regions that are wired alike share one build across regions,
+circuits and engines.  :func:`evaluate_region` is the reference semantics
+the builder is tested against: a macro circuit is *value-exact* against
+the flat circuit, and the cross-validation tests rely on this.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit, CircuitBuilder, evaluate_gate
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
-from repro.logic.tables import GateType, MAX_TABLE_ARITY, build_table
+from repro.logic.tables import (
+    GateType,
+    MAX_TABLE_ARITY,
+    evaluate,
+    pack_inputs,
+    packed_table,
+)
+from repro.logic.values import VALUES, X
+
+#: Bound on the process-wide memo of region tables (one entry per distinct
+#: region shape and fault position; a default-cap entry is ~2 KB).
+TABLE_MEMO_SIZE = 4096
 
 
 @dataclass
@@ -55,6 +73,9 @@ def evaluate_region(
     injection: Optional[StuckAtFault] = None,
 ) -> int:
     """Three-valued evaluation of a region, optionally with one stuck fault.
+
+    The reference semantics of macro tables: :func:`region_table` must
+    equal ``build_table`` over this function (``tests/test_macro.py``).
 
     The injection is a stuck-at fault on a flat gate inside the region
     (input pin or output line); pin forcing is applied when the owning gate
@@ -86,6 +107,77 @@ def evaluate_region(
             value = injection.value
         values[gate_index] = value
     return values[region.root]
+
+
+def region_table(
+    flat: Circuit, region: Region, fault: Optional[StuckAtFault] = None
+) -> Tuple[int, ...]:
+    """The packed-input lookup table of *region*, optionally with *fault*.
+
+    Equal to ``build_table`` over :func:`evaluate_region` with the same
+    injection.  The region is lowered to its shape: pin ``i`` owns local
+    slot ``i`` (a source feeding several pins reads the last of them, as
+    in :func:`evaluate_region`), internal gate ``j`` owns slot
+    ``len(pins) + j``.  The fault lowers to ``(internal position, pin,
+    value)``; a fault outside the region leaves the good table.
+    """
+    arity = len(region.pins)
+    slot = {source: position for position, source in enumerate(region.pins)}
+    gates = []
+    fault_at = None
+    for position, gate_index in enumerate(region.internal):
+        gate = flat.gates[gate_index]
+        gates.append((gate.gtype, tuple(slot[source] for source in gate.fanin)))
+        slot[gate_index] = arity + position
+        if fault is not None and fault.gate == gate_index:
+            fault_at = (position, fault.pin, fault.value)
+    return _shape_table((arity, tuple(gates), slot[region.root]), fault_at)
+
+
+@lru_cache(maxsize=None)
+def _legal_rows(arity: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Packed indices of the 3**arity legal input rows, and the per-pin
+    value columns over those rows."""
+    rows = list(itertools.product(VALUES, repeat=arity))
+    columns = tuple(tuple(row[pin] for row in rows) for pin in range(arity))
+    return tuple(pack_inputs(row) for row in rows), columns
+
+
+@lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _shape_table(shape, fault_at) -> Tuple[int, ...]:
+    """Build the table of a lowered region shape (see :func:`region_table`)
+    column-wise: each gate maps its fanin columns through its packed
+    table, every row at once."""
+    arity, gates, root_slot = shape
+    indices, pin_columns = _legal_rows(arity)
+    rows = len(indices)
+    columns: List[Sequence[int]] = list(pin_columns)
+    for position, (gtype, fanin) in enumerate(gates):
+        inputs = [columns[source] for source in fanin]
+        if fault_at is not None and fault_at[0] == position:
+            _, pin, value = fault_at
+            if pin == OUTPUT_PIN:
+                columns.append((value,) * rows)
+                continue
+            inputs[pin] = (value,) * rows
+        columns.append(_gate_column(gtype, inputs, rows))
+    table = [X] * (1 << (2 * arity))
+    for index, value in zip(indices, columns[root_slot]):
+        table[index] = value
+    return tuple(table)
+
+
+def _gate_column(gtype: GateType, inputs: List[Sequence[int]], rows: int) -> List[int]:
+    """One primitive gate's output over all rows at once."""
+    width = len(inputs)
+    if width > MAX_TABLE_ARITY:
+        return [evaluate(gtype, row) for row in zip(*inputs)]
+    packed = [0] * rows
+    for pin, column in enumerate(inputs):
+        shift = 2 * pin
+        packed = [word | (value << shift) for word, value in zip(packed, column)]
+    table = packed_table(gtype, width)
+    return [table[word] for word in packed]
 
 
 class MacroCircuit:
@@ -121,11 +213,7 @@ class MacroCircuit:
 
     def faulty_table(self, root: int, fault: StuckAtFault) -> Tuple[int, ...]:
         """The functional-fault table of *fault* inside the region at *root*."""
-        region = self.regions[root]
-        return build_table(
-            lambda inputs: evaluate_region(self.flat, region, inputs, injection=fault),
-            len(region.pins),
-        )
+        return region_table(self.flat, self.regions[root], fault)
 
     def new_index_of(self, flat_index: int) -> int:
         """Index in the macro circuit of a surviving flat gate (by name)."""
@@ -321,10 +409,7 @@ def extract_macros(
     for root, region in regions.items():
         if root in plain_roots:
             continue
-        good_tables[root] = build_table(
-            lambda inputs, _region=region: evaluate_region(circuit, _region, inputs),
-            len(region.pins),
-        )
+        good_tables[root] = region_table(circuit, region)
 
     # Build the macro circuit bottom-up so generated netlists read naturally
     # (CircuitBuilder itself tolerates any declaration order).

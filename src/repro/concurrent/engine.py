@@ -770,7 +770,11 @@ class ConcurrentFaultSimulator:
                         out = table[packed]
                     elif behavior is Behavior.TABLE:
                         out = descriptor.table[packed]
-                    else:  # TRANSITION: rare site path, via the list hook
+                    else:
+                        # TRANSITION, via the list hook: unpack, evaluate,
+                        # repack.  Not rare: on transition campaigns most
+                        # fault evaluations are site evaluations and land
+                        # here, at about twice a table lookup's cost.
                         inputs = list(unpack_inputs(packed, len(fanin)))
                         out = self._transition_output(descriptor, gate, inputs)
                         packed = pack_inputs(inputs)

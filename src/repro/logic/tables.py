@@ -167,8 +167,10 @@ def build_table(function: Callable[[Tuple[int, ...]], int], arity: int) -> Tuple
     Entries whose packed index contains the unused code ``0b11`` on any pin
     are filled with ``X``; they are unreachable from legal packed states but
     keeping them defined makes the table total and indexing branch-free.
-    Used both for the primitive types below and for macro truth tables
-    (including the *faulty* tables that represent functional faults).
+    Builds the primitive tables below, not macro tables:
+    ``repro.circuit.macro.region_table`` composes those (good and faulty)
+    from the primitive tables, and the tests check it equal to this
+    builder over the region reference evaluator.
     """
     if arity > MAX_TABLE_ARITY:
         raise ValueError(f"arity {arity} exceeds MAX_TABLE_ARITY={MAX_TABLE_ARITY}")
