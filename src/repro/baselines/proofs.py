@@ -36,12 +36,12 @@ from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, X, ZERO, is_binary
 from repro.obs.tracer import Tracer
-from repro.result import Failure, FaultSimResult, MemoryStats, WorkCounters
+from repro.result import CycleEngine, Failure, MemoryStats, WorkCounters
 from repro.sim.logicsim import LogicSimulator
 from repro.vector.packing import broadcast_word, evaluate_gate_word
 
 
-class ProofsSimulator:
+class ProofsSimulator(CycleEngine):
     """Word-parallel single-fault propagation fault simulator.
 
     ``record_responses`` switches the simulator into dictionary-building
@@ -176,46 +176,6 @@ class ProofsSimulator:
         if trace is not None:
             trace.cycle_end(self.cycle, live=live, visible=live, invisible=0)
         return newly
-
-    def run(self, vectors: Iterable[Sequence[int]], budget=None) -> FaultSimResult:
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start(self.engine_name, self.circuit.name)
-        clock = budget.start() if budget else None
-        start = time.perf_counter()
-        applied = 0
-        truncation_reason = None
-        for vector in vectors:
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            self.step(vector)
-            applied += 1
-        elapsed = time.perf_counter() - start
-        result = FaultSimResult(
-            engine=self.engine_name,
-            circuit_name=self.circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-            responses=(
-                self.responses_by_fault() if self.record_responses else None
-            ),
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
 
     def responses_by_fault(self) -> Dict[Fault, Tuple[Failure, ...]]:
         """The recorded responses keyed by fault, in sorted-fault order.

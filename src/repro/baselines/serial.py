@@ -111,7 +111,7 @@ def _run_machines(
     if budget and budget.max_cycles is not None and len(vectors) > budget.max_cycles:
         # The cut a concurrent engine makes when it checks the budget
         # before cycle ``max_cycles + 1``.
-        truncation_reason = _describe(clock.check(budget.max_cycles, 0), trace)
+        truncation_reason = clock.stop_reason(budget.max_cycles, 0, trace)
         vectors = vectors[: budget.max_cycles]
 
     good = LogicSimulator(circuit)
@@ -134,9 +134,9 @@ def _run_machines(
     for fid, fault in enumerate(fault_list):
         # Whole machines, not fault elements: the modelled memory is the
         # fixed per-fault descriptor total, checked with the wall clock.
-        breach = clock.check(0, memory.peak_bytes) if clock is not None else None
-        if breach is not None:
-            truncation_reason = _describe(breach, trace)
+        reason = clock.stop_reason(0, memory.peak_bytes, trace) if clock else None
+        if reason is not None:
+            truncation_reason = reason
             break
         machine = make_machine(fault)
         failures: List[Failure] = []
@@ -196,14 +196,6 @@ def _run_machines(
         trace.run_end(result.wall_seconds)
         result.telemetry = trace.telemetry()
     return result
-
-
-def _describe(breach, trace=None) -> Optional[str]:
-    if breach is None:
-        return None
-    if trace is not None:
-        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-    return breach.describe()
 
 
 class _SerialTransitionMachine:

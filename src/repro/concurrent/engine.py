@@ -59,7 +59,7 @@ from repro.logic.tables import (
 )
 from repro.logic.values import X
 from repro.obs.tracer import Tracer
-from repro.result import Failure, FaultSimResult, MemoryStats, WorkCounters
+from repro.result import CycleEngine, Failure, MemoryStats, WorkCounters
 
 #: Shared per-circuit evaluation tables.  Every engine instance over the
 #: same working circuit uses byte-identical tables, so they are built once
@@ -114,7 +114,7 @@ def shared_macro_transform(circuit: Circuit, macro_max_inputs: int):
     return transform
 
 
-class ConcurrentFaultSimulator:
+class ConcurrentFaultSimulator(CycleEngine):
     """Concurrent stuck-at fault simulator (csim / -V / -M / -MV).
 
     Parameters
@@ -181,6 +181,10 @@ class ConcurrentFaultSimulator:
             self._sanitizer: Optional[FaultListSanitizer] = FaultListSanitizer(self)
         else:
             self._sanitizer = None
+
+    @property
+    def engine_name(self) -> str:
+        return self.options.variant_name
 
     def _build_eval_tables(self) -> None:
         """Attach the (shared, memoized) per-gate lookup tables."""
@@ -473,65 +477,6 @@ class ConcurrentFaultSimulator:
             invisible=invisible,
         )
         return newly_detected
-
-    def run(
-        self,
-        vectors: Iterable[Sequence[int]],
-        stop_at_coverage: Optional[float] = None,
-        budget=None,
-    ) -> FaultSimResult:
-        """Simulate a whole sequence and package the result.
-
-        ``stop_at_coverage`` (fraction) ends the run early once reached —
-        useful for test-generation loops.  A ``budget``
-        (:class:`repro.robust.budget.Budget`) is checked at every cycle
-        boundary; on a breach the run stops cleanly and the result comes
-        back with ``truncated=True`` and the breach as its reason.
-        """
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start(self.options.variant_name, self.original_circuit.name)
-        clock = budget.start() if budget else None
-        start = time.perf_counter()
-        applied = 0
-        truncation_reason = None
-        for vector in vectors:
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            self.step(vector)
-            applied += 1
-            if (
-                stop_at_coverage is not None
-                and self.faults
-                and len(self.detected) / len(self.faults) >= stop_at_coverage
-            ):
-                break
-        elapsed = time.perf_counter() - start
-        result = FaultSimResult(
-            engine=self.options.variant_name,
-            circuit_name=self.original_circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-            responses=(
-                self.responses_by_fault() if self.record_responses else None
-            ),
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
 
     def responses_by_fault(self) -> Dict[Fault, Tuple[Failure, ...]]:
         """The recorded responses keyed by fault, in deterministic fid order.

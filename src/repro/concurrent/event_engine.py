@@ -45,15 +45,17 @@ from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
 from repro.logic.values import X
 from repro.obs.tracer import Tracer
-from repro.result import FaultSimResult, MemoryStats, WorkCounters
+from repro.result import CycleEngine, FaultSimResult, MemoryStats, WorkCounters, drive
 from repro.sim.delays import DelayModel, unit_delays
 
 #: Machine id of the fault-free machine in event records.
 GOOD = -1
 
 
-class ConcurrentEventFaultSimulator:
+class ConcurrentEventFaultSimulator(CycleEngine):
     """Concurrent stuck-at fault simulation on a transport-delay model."""
+
+    engine_name = "csim-AD"
 
     def __init__(
         self,
@@ -516,41 +518,13 @@ class ConcurrentEventFaultSimulator:
         trace.cycle_end(self.cycle, live=self._live, visible=visible, invisible=0)
         return newly
 
+    def step(self, vector: Sequence[int]) -> List[Fault]:
+        """One clock period of the current :meth:`run`'s length."""
+        return self.run_cycle(vector, self.period)
+
     def run(
         self, vectors: Sequence[Sequence[int]], period: int, budget=None
     ) -> FaultSimResult:
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start("csim-AD", self.circuit.name)
-        clock = budget.start() if budget else None
-        start = time_module.perf_counter()
-        applied = 0
-        truncation_reason = None
-        for vector in vectors:
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            self.run_cycle(vector, period)
-            applied += 1
-        elapsed = time_module.perf_counter() - start
-        result = FaultSimResult(
-            engine="csim-AD",
-            circuit_name=self.circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
+        """Simulate a whole sequence with clock period *period*."""
+        self.period = period
+        return drive(self, vectors, budget)

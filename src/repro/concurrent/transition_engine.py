@@ -62,6 +62,10 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
         self._firing = False
         super().__init__(circuit, faults, options, tracer=tracer)
 
+    @property
+    def engine_name(self) -> str:
+        return "csim-TV" if self.options.split_lists else "csim-T"
+
     # -- universe / descriptors -------------------------------------------
 
     def _default_universe(self, circuit: Circuit) -> List[TransitionFault]:
@@ -259,10 +263,3 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
             else:
                 line = circuit.gates[descriptor.site_gate].fanin[descriptor.pin]
             descriptor.prev_site_value = vis[line].get(descriptor.fid, good[line])
-
-    def run(self, vectors: Iterable[Sequence[int]], stop_at_coverage=None, budget=None):
-        result = super().run(vectors, stop_at_coverage, budget=budget)
-        result.engine = f"csim-T{'' if not self.options.split_lists else 'V'}"
-        if result.telemetry is not None:
-            result.telemetry.engine = result.engine
-        return result

@@ -28,9 +28,11 @@ class Telemetry:
     totals: WorkCounters = field(default_factory=WorkCounters)
     #: phase name -> cumulative wall seconds across all cycles.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: One metric row per cycle (see RecordingTracer.cycle_end for keys).
-    #: Values are ints except ``queue_depth`` (a level -> count dict),
-    #: hence ``Any``.
+    #: One metric row per cycle this process simulated (see
+    #: RecordingTracer.cycle_end for keys) — a run resumed from a
+    #: checkpoint has rows only for the cycles after the restore, while
+    #: ``totals`` covers the whole run.  Values are ints except
+    #: ``queue_depth`` (a level -> count dict), hence ``Any``.
     cycles: List[Dict[str, Any]] = field(default_factory=list)
     #: gate index -> faulty-machine evaluations charged to it (churn).
     gate_fault_evals: Dict[int, int] = field(default_factory=dict)

@@ -44,6 +44,10 @@ class Tracer:
     def run_end(self, wall_seconds: float) -> None:
         """The run finished after *wall_seconds*."""
 
+    def resume(self, counters: WorkCounters) -> None:
+        """The run continues a simulator that already did *counters* of
+        work (a restored checkpoint); sent right after ``run_start``."""
+
     def cycle_start(self, cycle: int) -> None:
         """Clock cycle *cycle* (1-based) begins.  Mirrors ``cycles``."""
 
@@ -169,6 +173,11 @@ class RecordingTracer(Tracer):
     def run_end(self, wall_seconds: float) -> None:
         self.wall_seconds = wall_seconds
         self._emit("run_end", wall_seconds=wall_seconds)
+
+    def resume(self, counters: WorkCounters) -> None:
+        # Totals keep reconciling with the reported counters; the
+        # per-cycle rows cover only the cycles simulated from here on.
+        self.totals = copy.copy(counters)
 
     def cycle_start(self, cycle: int) -> None:
         self.totals.cycles += 1

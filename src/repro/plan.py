@@ -16,12 +16,11 @@ honoured or rejected up front, on every path.
 1. **shard** (only when ``jobs > 1``): partition the fault list, execute
    one sub-plan per shard in worker processes (or any executor), merge
    (:mod:`repro.parallel.runner`);
-2. **leaf**, exactly one of
-
-   * the serial oracle (``engine == "serial"``),
-   * the checkpoint loop (:mod:`repro.robust.runner`) when a checkpoint
-     path is set,
-   * otherwise the engine's own ``run()``;
+2. **leaf**: the serial oracle (``engine == "serial"``), or else the one
+   cycle driver (:func:`repro.result.drive`) over the plan's simulator —
+   through the checkpoint binding
+   (:func:`repro.robust.runner.run_checkpointed`) when a checkpoint path
+   is set, through the engine's ``run()`` otherwise;
 3. **expand** (only with a collapse map): representatives back onto the
    full universe (:func:`expand_result`).
 
@@ -368,7 +367,7 @@ def make_simulator(
 ):
     """Build the simulator object behind a named engine (the one factory).
 
-    The checkpoint loop needs the simulator itself — for
+    The checkpoint binding needs the simulator itself — for
     ``snapshot()``/``restore()`` — rather than a finished result; the
     ``serial`` oracle has no incremental simulator object and is rejected
     here.  ``word_width``/``axis_mode`` apply to the word-packed engines;
@@ -435,7 +434,8 @@ def execute(
 
 
 def run_leaf(plan: RunPlan, tracer: Optional["Tracer"] = None) -> FaultSimResult:
-    """The leaf layer: serial oracle, checkpoint loop, or ``run()``."""
+    """The leaf layer: the serial oracle, or the cycle driver with or
+    without the checkpoint binding."""
     if plan.engine == "serial":
         if plan.transition:
             return simulate_serial_transition(

@@ -6,12 +6,17 @@ benchmark tables treat them interchangeably.  Besides detections, a result
 carries deterministic *work counters* — gate evaluations, fault-element
 visits, events — which let the benchmarks compare algorithms independently
 of interpreter noise, and a memory model in the units the paper reports.
+
+:func:`drive` is the one cycle loop every incremental engine runs through
+(its ``run()`` and the checkpointed runner alike): it decides when a run
+stops and builds the result it reports.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.model import Fault
 
@@ -24,6 +29,7 @@ Failure = Tuple[int, int]
 if TYPE_CHECKING:
     from repro.analyze.collapse import AuditReport
     from repro.obs.metrics import Telemetry
+    from repro.robust.budget import Budget
 
 
 @dataclass
@@ -171,3 +177,110 @@ class FaultSimResult:
             )
             text += f" [axis windows: {mix}]"
         return text
+
+
+class CycleEngine:
+    """The surface :func:`drive` runs an incremental engine through.
+
+    An engine provides ``step(vector)`` (one clock cycle), an
+    ``engine_name``, a ``tracer`` and the state a result reports
+    (``faults``, ``detected``, ``potentially_detected``, ``counters``,
+    ``memory``; ``responses_by_fault()`` when it records responses).
+    """
+
+    record_responses = False
+
+    def step(self, vector: Sequence[int]) -> object:
+        raise NotImplementedError
+
+    def advance(
+        self, vectors: Sequence[Sequence[int]], index: int, budget: Optional["Budget"]
+    ) -> int:
+        """Simulate from ``vectors[index]`` on; returns the cycles applied.
+
+        One :meth:`step` by default.  An engine that simulates several
+        cycles at once (vsim's pattern windows) overrides this and must not
+        run past ``budget.max_cycles``.
+        """
+        self.step(vectors[index])
+        return 1
+
+    def run(
+        self, vectors: Sequence[Sequence[int]], budget: Optional["Budget"] = None
+    ) -> FaultSimResult:
+        """Simulate a whole sequence and package the result (see :func:`drive`)."""
+        return drive(self, vectors, budget)
+
+
+def drive(
+    simulator,
+    vectors: Sequence[Sequence[int]],
+    budget: Optional["Budget"] = None,
+    *,
+    start: int = 0,
+    on_boundary: Optional[Callable[[int], None]] = None,
+) -> FaultSimResult:
+    """Run *simulator* over ``vectors[start:]`` and package the result.
+
+    A ``budget`` (:class:`repro.robust.budget.Budget`) is checked before
+    every advance; on a breach the run stops cleanly, reports the breach
+    to the tracer once, and the result comes back with ``truncated=True``
+    and the breach as its reason.  ``num_vectors`` is the simulator's
+    cycle count, so a run resumed from a restored simulator reports the
+    whole sequence, and a tracer's totals are seeded from the restored
+    counters so they still reconcile with ``counters``.
+
+    ``on_boundary(index)`` is called at every cycle boundary before the
+    budget check, ``index`` being the next vector to apply; with it the
+    run steps one cycle at a time, never a multi-cycle advance, so a
+    checkpoint written from the hook lands on an exact cycle.
+    """
+    vectors = list(vectors)
+    # The flat circuit results are reported against (the macro engines
+    # simulate a transformed one).
+    circuit = getattr(simulator, "original_circuit", simulator.circuit)
+    trace = simulator.tracer
+    if trace is not None:
+        trace.run_start(simulator.engine_name, circuit.name)
+        if simulator.counters.cycles:
+            trace.resume(simulator.counters)
+    clock = budget.start() if budget else None
+    started = time.perf_counter()
+    reason = None
+    index = start
+    while index < len(vectors):
+        if on_boundary is not None:
+            on_boundary(index)
+        if clock is not None:
+            reason = clock.stop_reason(
+                simulator.counters.cycles, simulator.memory.peak_bytes, trace
+            )
+            if reason is not None:
+                break
+        if on_boundary is not None:
+            simulator.step(vectors[index])
+            index += 1
+        else:
+            index += simulator.advance(vectors, index, budget)
+    elapsed = time.perf_counter() - started
+    result = FaultSimResult(
+        engine=simulator.engine_name,
+        circuit_name=circuit.name,
+        num_faults=len(simulator.faults),
+        num_vectors=simulator.counters.cycles,
+        detected=dict(simulator.detected),
+        potentially_detected=dict(simulator.potentially_detected),
+        counters=simulator.counters,
+        memory=simulator.memory,
+        wall_seconds=elapsed,
+        truncated=reason is not None,
+        truncation_reason=reason,
+        axis_windows=dict(getattr(simulator, "axis_windows", {})),
+        responses=(
+            simulator.responses_by_fault() if simulator.record_responses else None
+        ),
+    )
+    if trace is not None:
+        trace.run_end(elapsed)
+        result.telemetry = trace.telemetry()
+    return result

@@ -3,10 +3,11 @@
 A :class:`Budget` bounds one simulation run along three axes — wall-clock
 seconds, clock cycles, and modelled fault-element memory (the
 :class:`repro.result.MemoryStats` peak, i.e. the paper's units, not Python
-heap bytes).  Engines check the budget between cycles; on a breach they
-stop *cleanly*: the partial :class:`repro.result.FaultSimResult` comes back
-with ``truncated=True`` and a human-readable ``truncation_reason`` instead
-of the run hanging or dying, and the breach is reported through the run's
+heap bytes).  The cycle driver (:func:`repro.result.drive`) checks the
+budget between cycles; on a breach the run stops *cleanly*: the partial
+:class:`repro.result.FaultSimResult` comes back with ``truncated=True`` and
+a human-readable ``truncation_reason`` instead of the run hanging or
+dying, and the breach is reported through the run's
 :class:`repro.obs.Tracer` (``budget_breach`` hook).
 
 Cycle granularity is the honest contract for a single-threaded pure-Python
@@ -19,7 +20,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -113,3 +117,18 @@ class BudgetClock:
             if elapsed > budget.max_wall_seconds:
                 return BudgetBreach("wall", budget.max_wall_seconds, elapsed)
         return None
+
+    def stop_reason(
+        self, cycles_done: int, memory_bytes: int, tracer: Optional["Tracer"] = None
+    ) -> Optional[str]:
+        """:meth:`check`, with a breach reported to *tracer* and described.
+
+        Returns the truncation reason of the first breached limit, or None
+        while everything is in budget.
+        """
+        breach = self.check(cycles_done, memory_bytes)
+        if breach is None:
+            return None
+        if tracer is not None:
+            tracer.budget_breach(breach.kind, breach.limit, breach.actual)
+        return breach.describe()

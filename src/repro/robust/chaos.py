@@ -73,6 +73,9 @@ class HookBombTracer(Tracer):
     def run_end(self, wall_seconds: float) -> None:
         self._tick()
 
+    def resume(self, counters) -> None:
+        self._tick()
+
     def cycle_start(self, cycle: int) -> None:
         self._tick()
 

@@ -60,6 +60,9 @@ class GuardedTracer(Tracer):
     def run_end(self, wall_seconds):
         self._call("run_end", wall_seconds)
 
+    def resume(self, counters):
+        self._call("resume", counters)
+
     def cycle_start(self, cycle):
         self._call("cycle_start", cycle)
 

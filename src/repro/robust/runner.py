@@ -2,13 +2,17 @@
 
 Two shapes of campaign live here:
 
-* :func:`run_checkpointed` — one engine over one test sequence, with
-  periodic durable checkpoints (engine ``snapshot()`` + cycle index +
-  config fingerprint), budget enforcement at every cycle boundary, and
-  Ctrl-C handling that flushes a final checkpoint at a clean cycle
-  boundary before raising :class:`CampaignInterrupted`.  A resumed run is
-  bit-identical to an uninterrupted one: the snapshot carries detections,
-  work counters and the memory model, so only ``wall_seconds`` differs.
+* :func:`run_checkpointed` — one engine over one test sequence, bound to
+  durable checkpoints.  It does not loop: it builds the simulator,
+  fingerprints the configuration, restores a checkpoint, and hands the
+  one cycle driver (:func:`repro.result.drive`, which also enforces the
+  budget and builds the result) a per-cycle hook that writes periodic
+  checkpoints (engine ``snapshot()`` + cycle index + config fingerprint)
+  and honours a latched Ctrl-C by flushing a final checkpoint at a clean
+  cycle boundary before raising :class:`CampaignInterrupted`.  A resumed
+  run is bit-identical to an uninterrupted one: the snapshot carries
+  detections, work counters and the memory model, so only
+  ``wall_seconds`` differs.
 * :class:`TableCampaign` — the paper-table campaign (many circuits ×
   engines).  Progress is durable per completed cell; resuming skips
   finished cells and recomputes nothing.
@@ -21,14 +25,13 @@ would be worse than starting over.
 from __future__ import annotations
 
 import signal
-import time
 from typing import Callable, Optional
 
 from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
 from repro.patterns.vectors import TestSequence
-from repro.plan import DEFAULT_CHECKPOINT_EVERY, WORD_ENGINES, RunPlan
-from repro.result import FaultSimResult
+from repro.plan import DEFAULT_CHECKPOINT_EVERY, RunPlan
+from repro.result import FaultSimResult, drive
 from repro.robust.budget import Budget
 from repro.robust.checkpoint import (
     CampaignInterrupted,
@@ -115,18 +118,13 @@ def run_checkpointed(
         fingerprint_extra=fingerprint_extra,
     )
     simulator = plan.simulator(tracer)
-    if transition:
-        label = "csim-TV" if simulator.options.split_lists else "csim-T"
-    else:
-        label = engine if engine in WORD_ENGINES else simulator.options.variant_name
+    label = simulator.engine_name
     fingerprint = run_fingerprint(
         circuit, tests, label, simulator.faults, transition, fingerprint_extra
     )
 
     start_cycle = 0
     if resume:
-        if checkpoint_path is None:
-            raise CheckpointError("resume requested without a checkpoint path")
         saved = read_checkpoint(checkpoint_path, expect_fingerprint=fingerprint)
         if saved.kind != "run":
             raise CheckpointError(
@@ -160,36 +158,18 @@ def run_checkpointed(
     except ValueError:
         previous_handler = None
 
-    trace = tracer
-    if trace is not None:
-        trace.run_start(label, circuit.name)
-    clock = budget.start() if budget else None
-    started = time.perf_counter()
-    truncation_reason = None
-    vectors = tests.vectors
+    def boundary(index: int) -> None:
+        if interrupted["hit"]:
+            save(simulator.cycle)
+            raise CampaignInterrupted(checkpoint_path, simulator.cycle)
+        applied = index - start_cycle
+        if checkpoint_every and applied and applied % checkpoint_every == 0:
+            save(index)
+
     try:
-        for index in range(start_cycle, len(vectors)):
-            if interrupted["hit"]:
-                save(simulator.cycle)
-                raise CampaignInterrupted(checkpoint_path, simulator.cycle)
-            if clock is not None:
-                breach = clock.check(
-                    simulator.counters.cycles, simulator.memory.peak_bytes
-                )
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
-            simulator.step(vectors[index])
-            applied = index + 1
-            if (
-                checkpoint_path is not None
-                and checkpoint_every
-                and (applied - start_cycle) % checkpoint_every == 0
-                and applied < len(vectors)
-            ):
-                save(applied)
+        result = drive(
+            simulator, tests.vectors, budget, start=start_cycle, on_boundary=boundary
+        )
     except KeyboardInterrupt:
         # Interrupt delivered outside the latched window (non-main thread,
         # or raised synchronously from inside the engine): the in-memory
@@ -201,26 +181,6 @@ def run_checkpointed(
             signal.signal(signal.SIGINT, previous_handler)
 
     save(simulator.cycle)
-    elapsed = time.perf_counter() - started
-    result = FaultSimResult(
-        engine=label,
-        circuit_name=circuit.name,
-        num_faults=len(simulator.faults),
-        num_vectors=simulator.counters.cycles,
-        detected=dict(simulator.detected),
-        potentially_detected=dict(simulator.potentially_detected),
-        counters=simulator.counters,
-        memory=simulator.memory,
-        wall_seconds=elapsed,
-        truncated=truncation_reason is not None,
-        truncation_reason=truncation_reason,
-        responses=(
-            simulator.responses_by_fault() if record_responses else None
-        ),
-    )
-    if trace is not None:
-        trace.run_end(elapsed)
-        result.telemetry = trace.telemetry()
     return result
 
 

@@ -40,10 +40,12 @@ Because both axes implement the same per-cycle semantics, axis choice
 never changes detections — the property suite and the cross-validation
 tests (vs ``csim-MV`` and the serial oracle) pin bit-identity.
 
-``step()`` is inherited from PROOFS (single-cycle, fault-axis), which is
-what the checkpointed runner drives — snapshots therefore never capture a
-half-window, and resumed runs stay bit-identical regardless of how the
-scheduler would have windowed the uninterrupted run.
+Windows are the engine's ``advance()`` in the one cycle driver
+(:func:`repro.result.drive`).  ``step()`` is inherited from PROOFS
+(single-cycle, fault-axis), which is what a checkpointed run steps —
+snapshots therefore never capture a half-window, and resumed runs stay
+bit-identical regardless of how the scheduler would have windowed the
+uninterrupted run.
 
 An optional numpy path (:mod:`repro.vector.plane`) evaluates pattern
 windows for *all* live faults at once on a (faults x patterns) plane of
@@ -61,7 +63,6 @@ from repro.baselines.proofs import ProofsSimulator
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, X
 from repro.obs.tracer import Tracer
-from repro.result import FaultSimResult
 from repro.vector.packing import broadcast_word, evaluate_gate_word, set_slot
 from repro.vector.scheduler import AxisDecision, AxisScheduler
 
@@ -130,6 +131,9 @@ class VectorFaultSimulator(ProofsSimulator):
         self.axis_log: List[AxisDecision] = []
         #: Window counts per axis (mirrored onto the result).
         self.axis_windows: Dict[str, int] = {}
+        #: The fault-axis window being stepped: (the run's vector list,
+        #: index where the window ends).
+        self._fault_window: Tuple[Optional[Sequence], int] = (None, 0)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -145,97 +149,49 @@ class VectorFaultSimulator(ProofsSimulator):
         self.axis_windows = dict(state.get("axis_windows", {}))
 
     # ------------------------------------------------------------------
-    # windowed run loop
+    # windowed advance
     # ------------------------------------------------------------------
 
-    def run(self, vectors: Iterable[Sequence[int]], budget: Any = None) -> FaultSimResult:
+    def advance(
+        self, vectors: Sequence[Sequence[int]], index: int, budget: Any
+    ) -> int:
+        """One cycle driver advance (see :func:`repro.result.drive`).
+
+        At a window boundary the scheduler picks the axis from the live
+        faults and the remaining depth, clipped to the cycle budget so a
+        breach lands on the same cycle as in every other engine.  A
+        pattern window runs whole in this advance (the budget is checked
+        per window); a fault-axis window steps one PROOFS cycle per
+        advance (checked per cycle, like the baseline) until it is used
+        up.
+        """
         if self.record_responses:
             # Dictionary-building mode records per-cycle output mismatches,
             # which only the per-cycle (fault-axis) path observes — pattern
-            # windows judge detection on whole words.  Delegate to the
-            # inherited PROOFS loop; ``step()`` is the same code the
-            # checkpointed runner drives, so recording composes with
-            # snapshots unchanged.
-            result = super().run(vectors, budget=budget)
-            result.axis_windows = dict(self.axis_windows)
-            return result
-        trace = self.tracer
-        if trace is not None:
-            trace.run_start(ENGINE_NAME, self.circuit.name)
-        clock = budget.start() if budget else None
-        start = time.perf_counter()
-        vector_list = [vector for vector in vectors]
-        applied = 0
-        truncation_reason = None
-        index = 0
-        while index < len(vector_list):
-            if clock is not None:
-                breach = clock.check(self.counters.cycles, self.memory.peak_bytes)
-                if breach is not None:
-                    truncation_reason = breach.describe()
-                    if trace is not None:
-                        trace.budget_breach(breach.kind, breach.limit, breach.actual)
-                    break
+            # windows judge detection on whole words.
+            return super().advance(vectors, index, budget)
+        window_vectors, window_end = self._fault_window
+        if window_vectors is not vectors or index >= window_end:
             live = sum(1 for fault in self.faults if fault not in self.detected)
-            depth = len(vector_list) - index
+            depth = len(vectors) - index
             if budget and budget.max_cycles is not None:
-                # A window never runs past the cycle budget: the breach
-                # then lands on the same cycle as in every other engine.
                 depth = min(depth, budget.max_cycles - self.counters.cycles)
             decision = self.scheduler.choose(self.cycle + 1, live, depth)
             self.axis_log.append(decision)
             self.axis_windows[decision.axis] = self.axis_windows.get(decision.axis, 0) + 1
-            window = vector_list[index : index + min(self.word_width, depth)]
+            width = min(self.word_width, depth)
             if decision.axis == "pattern":
-                self._pattern_window(window)
-                applied += len(window)
-                index += len(window)
-            else:
-                # Fault axis: per-cycle PROOFS steps, budget-checked per
-                # cycle like the baseline (pattern windows check at the
-                # window boundary — the documented coarser granularity).
-                for vector in window:
-                    if clock is not None:
-                        breach = clock.check(
-                            self.counters.cycles, self.memory.peak_bytes
-                        )
-                        if breach is not None:
-                            truncation_reason = breach.describe()
-                            if trace is not None:
-                                trace.budget_breach(
-                                    breach.kind, breach.limit, breach.actual
-                                )
-                            break
-                    self.step(vector)
-                    applied += 1
-                    index += 1
-                if truncation_reason is not None:
-                    break
-        elapsed = time.perf_counter() - start
-        result = FaultSimResult(
-            engine=ENGINE_NAME,
-            circuit_name=self.circuit.name,
-            num_faults=len(self.faults),
-            num_vectors=applied,
-            detected=dict(self.detected),
-            potentially_detected=dict(self.potentially_detected),
-            counters=self.counters,
-            memory=self.memory,
-            wall_seconds=elapsed,
-            truncated=truncation_reason is not None,
-            truncation_reason=truncation_reason,
-            axis_windows=dict(self.axis_windows),
-        )
-        if trace is not None:
-            trace.run_end(elapsed)
-            result.telemetry = trace.telemetry()
-        return result
+                self._pattern_window(vectors[index : index + width])
+                return width
+            self._fault_window = (vectors, index + width)
+        self.step(vectors[index])
+        return 1
 
     # ------------------------------------------------------------------
     # pattern-axis window
     # ------------------------------------------------------------------
 
-    def _pattern_window(self, window: List[Sequence[int]]) -> None:
+    def _pattern_window(self, window: Sequence[Sequence[int]]) -> None:
         """Simulate a window of vectors with one bit slot per cycle."""
         circuit = self.circuit
         width = len(window)

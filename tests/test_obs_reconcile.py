@@ -12,11 +12,12 @@ import dataclasses
 
 import pytest
 
-from repro.harness.runner import run_stuck_at, run_transition
+from repro.harness.runner import run_stuck_at, run_transition, workload_tests
 from repro.obs.tracer import RecordingTracer, Tracer
 from repro.parallel import run_parallel
 from repro.patterns.random_gen import random_sequence
 from repro.result import WorkCounters
+from repro.robust import Budget, run_checkpointed
 
 #: WorkCounters field -> the Tracer hook that mirrors it.  A new counter
 #: field must be added here (and given a hook) or the test fails.
@@ -74,6 +75,30 @@ class TestSingleProcess:
         result = run_transition(s27, tests, tracer=tracer)
         assert result.counters.cycles > 0
         _assert_reconciled(tracer, result)
+
+
+class TestResumedRun:
+    """A run resumed from a checkpoint reconciles over the whole run."""
+
+    @pytest.mark.parametrize("engine", ["csim-MV", "PROOFS", "vsim", "transition"])
+    def test_totals_equal_counters_after_resume(self, tmp_path, s27, engine):
+        tests = workload_tests("s27")
+        transition = engine == "transition"
+        kwargs = dict(
+            engine="csim-MV" if transition else engine,
+            transition=transition,
+            checkpoint_path=str(tmp_path / "run.ck"),
+        )
+        partial = run_checkpointed(
+            s27, tests, budget=Budget(max_cycles=5), checkpoint_every=2, **kwargs
+        )
+        assert partial.truncated
+        tracer = RecordingTracer()
+        result = run_checkpointed(s27, tests, tracer=tracer, resume=True, **kwargs)
+        assert result.counters.cycles == len(tests.vectors)
+        _assert_reconciled(tracer, result)
+        # Per-cycle rows cover only the cycles this process simulated.
+        assert len(result.telemetry.cycles) == len(tests.vectors) - 5
 
 
 class TestMergedAcrossShards:

@@ -24,8 +24,42 @@ from repro.robust import (
     verify_invariants,
     write_checkpoint,
 )
+from repro.concurrent import CSIM, SimOptions, TransitionFaultSimulator
+from repro.concurrent.event_engine import ConcurrentEventFaultSimulator
+from repro.patterns.random_gen import random_sequence
+from repro.plan import make_simulator
 from repro.robust.budget import BudgetBreach
 from repro.robust.ladder import oracle_spot_check
+
+#: Every incremental engine, by the label its results carry.
+DRIVEN_ENGINES = (
+    "csim", "csim-V", "csim-M", "csim-MV", "PROOFS", "vsim",
+    "csim-T", "csim-TV", "csim-AD",
+)
+
+#: Checkpoint fingerprints of ``run_checkpointed(load("s27"),
+#: workload_tests("s27"), engine)`` with the default faults: a checkpoint
+#: written by an earlier version of the runner must still resume.
+PINNED_FINGERPRINTS = {
+    "csim-MV": "360f5f832dac4ba9ecd8222ce9bc64ae0f328aa93e84ce466910f4deda40a5ee",
+    "csim": "8a6a2344892cc2c92dbd6450e9bd61dc6f6683e1a94e3fde902a3375faf1d37e",
+    "PROOFS": "ecbdb09858e7a1cda54c80e7fd13a1635f6b1772a808d04590a251eb3d3497d5",
+    "vsim": "b12fca1de4eedf22ea158be1f09e0b1244dff5f899066c572a84383f0505d8b0",
+    "csim-TV": "350b9554e9fe0f7dd421d5cb0164a64bdaea11579c2bf73f603fbfb18a1d221a",
+}
+
+
+def _driven_run(circuit, tests, engine, tracer=None, budget=None):
+    """``run()`` of the engine whose results are labelled *engine*."""
+    if engine == "csim-AD":
+        simulator = ConcurrentEventFaultSimulator(circuit, tracer=tracer)
+        return simulator.run(tests.vectors, circuit.num_levels + 3, budget=budget)
+    if engine in ("csim-T", "csim-TV"):
+        options = SimOptions(split_lists=engine == "csim-TV")
+        simulator = TransitionFaultSimulator(circuit, options=options, tracer=tracer)
+    else:
+        simulator = make_simulator(circuit, engine, tracer=tracer)
+    return simulator.run(tests, budget=budget)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +200,25 @@ class TestBudget:
         result = run_stuck_at(s27, s27_tests, engine, budget=budget)
         assert result.truncated
 
+    @pytest.mark.parametrize(
+        "budget,reason",
+        [
+            (Budget(max_cycles=5), "cycle budget exceeded (5 >= 5)"),
+            (Budget(max_wall_seconds=0.0), "wall-clock budget exceeded"),
+        ],
+        ids=["cycles", "wall"],
+    )
+    @pytest.mark.parametrize("engine", DRIVEN_ENGINES)
+    def test_every_engine_stops_once(self, s27, s27_tests, engine, budget, reason):
+        tracer = RecordingTracer()
+        result = _driven_run(s27, s27_tests, engine, tracer, budget)
+        assert result.truncated
+        assert result.truncation_reason.startswith(reason)
+        assert result.num_vectors == result.counters.cycles
+        assert result.num_vectors == (budget.max_cycles or 0)
+        assert len(tracer.budget_breaches) == 1
+        assert result.engine == result.telemetry.engine == engine
+
     def test_transition_budget(self, s27, s27_tests):
         result = run_transition(s27, s27_tests, budget=Budget(max_cycles=4))
         assert result.truncated
@@ -186,6 +239,11 @@ class TestRunCheckpointed:
             ("s27", "PROOFS"),
             ("s298", "csim-MV"),
             ("s298", "PROOFS"),
+            ("s27", "csim-V"),
+            ("s27", "csim-M"),
+            ("s27", "vsim"),
+            ("s298", "vsim"),
+            ("s27", "csim-T"),
         ],
     )
     def test_interrupt_and_resume_bit_identical(self, tmp_path, circuit_name, engine):
@@ -193,24 +251,58 @@ class TestRunCheckpointed:
         scale = 0.25
         circuit = load(circuit_name, scale=scale)
         tests = workload_tests(circuit_name, scale)
-        reference = run_stuck_at(circuit, tests, engine)
+        # ``csim-T`` is the transition engine without list splitting.
+        transition = engine == "csim-T"
+        kwargs = (
+            dict(engine="csim", transition=True, options=CSIM)
+            if transition
+            else dict(engine=engine)
+        )
+        if transition:
+            reference = run_transition(circuit, tests, split_lists=False)
+        else:
+            # A checkpointed vsim steps the fault axis cycle by cycle.
+            axis_mode = "fault" if engine == "vsim" else "auto"
+            reference = run_stuck_at(circuit, tests, engine, axis_mode=axis_mode)
         path = str(tmp_path / "ck.pkl")
         # "Kill" mid-run via a cycle budget: the truncated run writes its
         # final checkpoint, exactly like an interrupted one.
         partial = run_checkpointed(
             circuit,
             tests,
-            engine,
             budget=Budget(max_cycles=max(2, len(tests.vectors) // 3)),
             checkpoint_path=path,
             checkpoint_every=4,
+            **kwargs,
         )
         assert partial.truncated
         assert partial.num_vectors < reference.num_vectors
         resumed = run_checkpointed(
-            circuit, tests, engine, checkpoint_path=path, resume=True
+            circuit, tests, checkpoint_path=path, resume=True, **kwargs
         )
         _same_result(reference, resumed)
+        assert resumed.engine == partial.engine == reference.engine
+        assert resumed.truncation_reason is None
+
+    @pytest.mark.parametrize("engine", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprint_pinned(self, tmp_path, s27, s27_tests, engine):
+        path = str(tmp_path / "ck.pkl")
+        if engine == "csim-TV":
+            run_checkpointed(s27, s27_tests, transition=True, checkpoint_path=path)
+        else:
+            run_checkpointed(s27, s27_tests, engine, checkpoint_path=path)
+        saved = read_checkpoint(path)
+        assert saved.fingerprint == PINNED_FINGERPRINTS[engine]
+        assert saved.payload["engine"] == engine
+
+    def test_checkpointed_vsim_equals_fault_axis(self):
+        """A checkpointed vsim run steps the fault axis cycle by cycle."""
+        circuit = load("s298", scale=0.5)
+        tests = random_sequence(circuit, 100, seed=1)
+        fault_axis = run_stuck_at(circuit, tests, "vsim", axis_mode="fault")
+        stepped = run_checkpointed(circuit, tests, "vsim")
+        _same_result(fault_axis, stepped)
+        assert stepped.engine == fault_axis.engine == "vsim"
 
     def test_uninterrupted_equals_plain_run(self, s27, s27_tests):
         reference = run_stuck_at(s27, s27_tests, "csim-MV")
