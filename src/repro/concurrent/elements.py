@@ -18,7 +18,8 @@ its site gate:
                   ("stuck at faults may be translated into functional faults
                   which can be represented by look up table entries");
 ``TRANSITION``    one pin's value is delayed per the transition-fault rule
-                  during the sampling pass (Section 3).
+                  during the sampling pass (Section 3); the descriptor
+                  carries its kind's Table 1 as lookup rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.faults.model import Fault, FaultKind
+from repro.faults.model import Fault
+from repro.faults.transition import DelayRule
 from repro.logic.values import X
 
 
@@ -59,11 +61,14 @@ class FaultDescriptor:
     pin: int = -1
     value: int = X
     table: Optional[Tuple[int, ...]] = None
-    kind: Optional[FaultKind] = None
+    # Transition faults: the kind's Table 1 as ``rule[PV][CV]``.
+    rule: Optional[DelayRule] = None
     detected: bool = False
     detect_cycle: Optional[int] = None
-    # Transition faults: the site line's value in this fault's machine at
-    # the end of the previous cycle (PV of Table 1).
+    # Transition faults: the site line (the gate itself for an output
+    # site, else the fanin at ``pin``) and its value in this fault's
+    # machine at the end of the previous cycle (PV of Table 1).
+    site_line: int = -1
     prev_site_value: int = X
 
     def mark_detected(self, cycle: int) -> None:

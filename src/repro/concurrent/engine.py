@@ -55,7 +55,6 @@ from repro.logic.tables import (
     evaluate,
     pack_inputs,
     packed_table,
-    unpack_inputs,
 )
 from repro.logic.values import X
 from repro.obs.tracer import Tracer
@@ -139,6 +138,10 @@ class ConcurrentFaultSimulator(CycleEngine):
         identical to a dropping run (first detection is still what
         ``detected`` reports).
     """
+
+    #: True during the transition engine's firing pass, when transition
+    #: sites evaluate as completed (see ``_evaluate``).
+    _firing = False
 
     def __init__(
         self,
@@ -641,11 +644,6 @@ class ConcurrentFaultSimulator(CycleEngine):
             "transition faults require TransitionFaultSimulator"
         )
 
-    def _ff_transition_latch(self, descriptor, q_fault):  # pragma: no cover
-        raise NotImplementedError(
-            "transition faults require TransitionFaultSimulator"
-        )
-
     def _evaluate(self, gate_index: int) -> None:
         """Re-evaluate the good machine and every candidate faulty machine
         at one gate, diverging/converging elements and emitting events.
@@ -715,14 +713,24 @@ class ConcurrentFaultSimulator(CycleEngine):
                         out = table[packed]
                     elif behavior is Behavior.TABLE:
                         out = descriptor.table[packed]
+                    elif self._firing:
+                        # TRANSITION, firing pass: the transition completed.
+                        out = table[packed]
                     else:
-                        # TRANSITION, via the list hook: unpack, evaluate,
-                        # repack.  Not rare: on transition campaigns most
-                        # fault evaluations are site evaluations and land
-                        # here, at about twice a table lookup's cost.
-                        inputs = list(unpack_inputs(packed, len(fanin)))
-                        out = self._transition_output(descriptor, gate, inputs)
-                        packed = pack_inputs(inputs)
+                        # TRANSITION, sampling pass: Table 1 inside the
+                        # packed word.  An input site's field is delayed
+                        # in place, so ``packed`` keeps the forced field
+                        # for the invisible-element test below.
+                        rule = descriptor.rule[descriptor.prev_site_value]
+                        pin = descriptor.pin
+                        if pin == OUTPUT_PIN:
+                            out = rule[table[packed]]
+                        else:
+                            position = 2 * pin
+                            packed = (packed & ~(0b11 << position)) | (
+                                rule[(packed >> position) & 0b11] << position
+                            )
+                            out = table[packed]
                 before = vis_here.get(fid, old_good)
                 if out != new_good:
                     if invis_here.pop(fid, None) is not None:
@@ -918,8 +926,10 @@ class ConcurrentFaultSimulator(CycleEngine):
                         # A stuck D pin latches the forced value.
                         q_fault = descriptor.value
                     elif descriptor.behavior is Behavior.TRANSITION:
-                        # A slow D transition latches the stale value.
-                        q_fault = self._ff_transition_latch(descriptor, q_fault)
+                        # A slow D transition latches the stale value when
+                        # it fired this cycle: the flip-flop samples before
+                        # the delayed edge arrives.
+                        q_fault = descriptor.rule[descriptor.prev_site_value][q_fault]
                 before = vis_here.get(fid, old_q)
                 updates.append((fid, q_fault, q_fault != new_q))
                 if before != q_fault:

@@ -8,8 +8,7 @@ of the synchronous sequential circuit is simulated twice."
 Per clock cycle:
 
 1. **Sampling pass** — every faulty transition is assumed *not to fire*:
-   at a fault's site the delayed value of Table 1 (see
-   :func:`repro.faults.transition.delayed_value`) replaces the settled
+   at a fault's site the delayed value of Table 1 replaces the settled
    value.  The primary outputs are observed (detections) and the flip-flop
    masters latch from these values.
 2. **Firing pass** — the network is re-simulated with all transitions
@@ -23,25 +22,32 @@ held in the fault's descriptor and refreshed after the firing pass: the
 delay defect is smaller than one cycle, so every line finishes the cycle at
 its fired value.
 
+Table 1 lives on each descriptor as its kind's rule rows ``rule[PV][CV]``
+(:func:`repro.faults.transition.delay_rule`).  The stuck-at engine's packed
+path applies them at the site: an input pin's 2-bit field is rewritten
+through the row before the gate's table lookup, an output's lookup result
+passes through it, and the firing pass is the plain lookup.
+
 The engine reuses the stuck-at machinery — fault lists, divergence and
 convergence, event-driven dropping, optional visible/invisible splitting —
-and only overrides site evaluation and the per-cycle flow.  Macro
-extraction is not supported for transition faults (a delayed internal line
-cannot be represented by a static functional table); the paper likewise
-reports transition results without macros.
+and overrides only the primary-input sources, the evaluation of gates too
+wide for a table and the per-cycle flow.  Macro extraction is not supported
+for transition faults (a delayed internal line cannot be represented by a
+static functional table); the paper likewise reports transition results
+without macros.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault, OUTPUT_PIN
-from repro.faults.transition import TransitionFault, all_transition_faults, delayed_value
+from repro.faults.transition import TransitionFault, all_transition_faults, delay_rule
 
 
 class TransitionFaultSimulator(ConcurrentFaultSimulator):
@@ -59,8 +65,13 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
                 "macro extraction is not supported for transition faults; "
                 "use a flat-circuit SimOptions"
             )
-        self._firing = False
         super().__init__(circuit, faults, options, tracer=tracer)
+        #: Flip-flops with D-pin transition faults, with those faults.
+        self._d_pin_ffs: List[Tuple[int, List[FaultDescriptor]]] = [
+            (ff_index, [self.descriptors[fid] for fid in self.local_faults[ff_index]])
+            for ff_index in self.circuit.dffs
+            if self.local_faults[ff_index]
+        ]
 
     @property
     def engine_name(self) -> str:
@@ -78,7 +89,10 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
             site_gate=fault.gate,
             behavior=Behavior.TRANSITION,
             pin=fault.pin,
-            kind=fault.kind,
+            rule=delay_rule(fault.kind),
+            site_line=fault.gate
+            if fault.pin == OUTPUT_PIN
+            else self.circuit.gates[fault.gate].fanin[fault.pin],
         )
 
     def _is_inert(self, descriptor: FaultDescriptor) -> bool:
@@ -87,24 +101,15 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
     # -- site evaluation ----------------------------------------------------
 
     def _transition_output(self, descriptor, gate, inputs):
-        """Evaluate the site gate with the transition delayed (sampling
-        pass) or completed (firing pass)."""
+        """Evaluate a site gate too wide for a lookup table with the
+        transition delayed (sampling pass) or completed (firing pass)."""
         if self._firing:
             return self._good_output(gate, inputs)
+        rule = descriptor.rule[descriptor.prev_site_value]
         if descriptor.pin == OUTPUT_PIN:
-            settled = self._good_output(gate, inputs)
-            return delayed_value(descriptor.prev_site_value, settled, descriptor.kind)
-        current = inputs[descriptor.pin]
-        inputs[descriptor.pin] = delayed_value(
-            descriptor.prev_site_value, current, descriptor.kind
-        )
+            return rule[self._good_output(gate, inputs)]
+        inputs[descriptor.pin] = rule[inputs[descriptor.pin]]
         return self._good_output(gate, inputs)
-
-    def _ff_transition_latch(self, descriptor, q_fault):
-        """A slow transition on a D pin latches the line's previous value
-        when the transition fired this cycle (the flip-flop samples before
-        the delayed edge arrives)."""
-        return delayed_value(descriptor.prev_site_value, q_fault, descriptor.kind)
 
     def _apply_source(self, pi_index: int, value: int) -> None:
         """Primary inputs with output transition faults (only present when
@@ -123,7 +128,7 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
                 continue
             self.counters.fault_evaluations += 1
             evals += 1
-            forced = delayed_value(descriptor.prev_site_value, value, descriptor.kind)
+            forced = descriptor.rule[descriptor.prev_site_value][value]
             before = vis.get(fid, old_good)
             if forced != value:
                 self._store(self.vis, pi_index, fid, forced)
@@ -191,11 +196,8 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
         # latch every boundary: the delayed value depends on the line's
         # previous value, so the outcome can change one cycle after the
         # line last moved, with no event to flag it.
-        for ff_index in circuit.dffs:
-            if any(
-                not self.descriptors[fid].detected
-                for fid in self.local_faults[ff_index]
-            ):
+        for ff_index, site_faults in self._d_pin_ffs:
+            if any(not descriptor.detected for descriptor in site_faults):
                 self._dirty_ffs.add(ff_index)
         pending = self._compute_ff_updates()
         self._dirty_ffs = set()
@@ -252,14 +254,10 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
         """After the firing pass every line holds its completed value; that
         value is next cycle's PV at each fault's site, read in the fault's
         own machine (latched errors make it differ from the good value)."""
-        circuit = self.circuit
         good = self.good
         vis = self.vis
         for descriptor in self.descriptors:
             if descriptor.detected:
                 continue
-            if descriptor.pin == OUTPUT_PIN:
-                line = descriptor.site_gate
-            else:
-                line = circuit.gates[descriptor.site_gate].fanin[descriptor.pin]
+            line = descriptor.site_line
             descriptor.prev_site_value = vis[line].get(descriptor.fid, good[line])

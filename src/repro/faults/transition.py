@@ -21,12 +21,15 @@ input"); an option adds output lines for completeness studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import OUTPUT_PIN, Fault, FaultKind
 from repro.logic.tables import GateType
-from repro.logic.values import ONE, X, ZERO
+from repro.logic.values import ONE, VALUES, X, ZERO
+
+#: One kind's Table 1 as lookup rows: ``rule[PV][CV]`` is the faulty value.
+DelayRule = Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,29 @@ def delayed_value(previous: int, current: int, kind: FaultKind) -> int:
             return current
         return ONE if current == ONE else X
     raise ValueError(f"not a transition fault kind: {kind}")
+
+
+#: :func:`delayed_value` tabulated once per kind.  Values double as their
+#: 2-bit codes, so a row indexes straight off a packed pin field.
+_DELAY_RULES: Dict[FaultKind, DelayRule] = {
+    kind: tuple(
+        tuple(delayed_value(previous, current, kind) for current in VALUES)
+        for previous in VALUES
+    )
+    for kind in (FaultKind.SLOW_TO_RISE, FaultKind.SLOW_TO_FALL)
+}
+
+
+def delay_rule(kind: FaultKind) -> DelayRule:
+    """Table 1 for *kind* as rows indexed ``[previous][current]``.
+
+    Equal to :func:`delayed_value` on every legal pair; the concurrent
+    engine evaluates delayed sites through these rows.
+    """
+    rule = _DELAY_RULES.get(kind)
+    if rule is None:
+        raise ValueError(f"not a transition fault kind: {kind}")
+    return rule
 
 
 def all_transition_faults(

@@ -9,6 +9,7 @@ from repro.faults.model import OUTPUT_PIN, FaultKind
 from repro.faults.transition import (
     TransitionFault,
     all_transition_faults,
+    delay_rule,
     delayed_value,
 )
 from repro.logic.tables import GateType
@@ -68,6 +69,29 @@ class TestDelayedValue:
     def test_rejects_stuck_at_kind(self):
         with pytest.raises(ValueError):
             delayed_value(ZERO, ONE, FaultKind.STUCK_AT_0)
+
+
+class TestDelayRule:
+    """The lookup rows the concurrent engine evaluates are Table 1."""
+
+    @pytest.mark.parametrize("kind", [STR, STF])
+    def test_rows_equal_delayed_value(self, kind):
+        rule = delay_rule(kind)
+        assert len(rule) == len(VALUES)
+        for previous, current in itertools.product(VALUES, repeat=2):
+            assert rule[previous][current] == delayed_value(previous, current, kind)
+
+    @pytest.mark.parametrize("kind", [STR, STF])
+    def test_no_entry_is_the_unused_code(self, kind):
+        for row in delay_rule(kind):
+            assert len(row) == len(VALUES)
+            assert 0b11 not in row
+            assert set(row) <= set(VALUES)
+
+    @pytest.mark.parametrize("kind", [FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1])
+    def test_rejects_stuck_at_kind(self, kind):
+        with pytest.raises(ValueError, match="not a transition fault kind"):
+            delay_rule(kind)
 
 
 class TestTransitionUniverse:
