@@ -40,9 +40,9 @@ from repro.faults import (
     StuckAtFault,
     TransitionFault,
     all_transition_faults,
-    collapse_stuck_at,
     fault_name,
     stuck_at_universe,
+    target_faults,
 )
 from repro.patterns import generate_tests, random_sequence
 from repro.result import FaultSimResult
@@ -75,9 +75,9 @@ __all__ = [
     "StuckAtFault",
     "TransitionFault",
     "all_transition_faults",
-    "collapse_stuck_at",
     "fault_name",
     "stuck_at_universe",
+    "target_faults",
     "generate_tests",
     "random_sequence",
     "FaultSimResult",

@@ -47,8 +47,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import OUTPUT_PIN, Fault, StuckAtFault
-from repro.faults.transition import TransitionFault, all_transition_faults
-from repro.faults.universe import all_stuck_at_faults
+from repro.faults.transition import TransitionFault
+from repro.faults.universe import target_faults
 from repro.logic.tables import GateType
 from repro.result import Failure, FaultSimResult
 
@@ -432,11 +432,10 @@ def collapse_universe(
 ) -> CollapsedUniverse:
     """Collapse a fault universe down to class representatives.
 
-    ``faults`` defaults to the full uncollapsed universe
-    (:func:`~repro.faults.universe.all_stuck_at_faults`, or
-    :func:`~repro.faults.transition.all_transition_faults` with
-    ``transition``); pass an explicit list — e.g. the survivors of
-    ``--prune-untestable`` — to collapse just those.  ``mode`` is
+    ``faults`` defaults to the full uncollapsed universe (the pin-level
+    :func:`~repro.faults.universe.target_faults`); pass an explicit list —
+    e.g. the survivors of ``--prune-untestable`` — to collapse just those
+    (duplicates count once).  ``mode`` is
     ``"equivalence"`` (exact expansion) or ``"dominance"`` (equivalence
     plus FFR-dominator drops with conservative expansion).
     """
@@ -444,13 +443,11 @@ def collapse_universe(
         raise ValueError(
             f"unknown collapse mode {mode!r}; expected one of {COLLAPSE_MODES}"
         )
-    if faults is None:
-        universe: List[Fault] = list(
-            all_transition_faults(circuit) if transition else all_stuck_at_faults(circuit)
+    universe = list(
+        dict.fromkeys(
+            target_faults(circuit, faults, transition=transition, pin_level=True)
         )
-    else:
-        universe = list(faults)
-    universe = sorted(set(universe))
+    )
 
     uf = _transition_union(circuit) if transition else stuck_at_union(circuit)
     rep_of = pick_representatives(uf, universe)

@@ -9,14 +9,11 @@
 * :mod:`repro.baselines.deductive` — classic deductive fault simulation
   (Armstrong 1972) for combinational circuits, the historical method whose
   simplicity the paper's data structure borrows.
-* :mod:`repro.baselines.cpt` — critical path tracing with exact stem
-  analysis (the related-work approach of the paper's references [4]/[7]).
 """
 
 from repro.baselines.serial import simulate_serial, simulate_serial_transition
 from repro.baselines.proofs import ProofsSimulator
 from repro.baselines.deductive import deductive_detects, simulate_deductive
-from repro.baselines.cpt import cpt_detects, simulate_cpt
 
 __all__ = [
     "simulate_serial",
@@ -24,6 +21,4 @@ __all__ = [
     "ProofsSimulator",
     "deductive_detects",
     "simulate_deductive",
-    "cpt_detects",
-    "simulate_cpt",
 ]

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set
 
 from repro.circuit.netlist import Circuit, evaluate_gate
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.logic.values import ONE, ZERO
 from repro.result import FaultSimResult, MemoryStats, WorkCounters
 
@@ -47,11 +47,21 @@ def deductive_detects(
     Returns the union of the primary outputs' fault lists intersected with
     the target universe.
     """
-    _check_combinational_binary(circuit, vector)
-    universe = (
-        frozenset(faults) if faults is not None else frozenset(stuck_at_universe(circuit))
+    return _detects(
+        circuit,
+        vector,
+        frozenset(target_faults(circuit, faults)),
+        counters if counters is not None else WorkCounters(),
     )
-    counters = counters if counters is not None else WorkCounters()
+
+
+def _detects(
+    circuit: Circuit,
+    vector: Sequence[int],
+    universe: FrozenSet[StuckAtFault],
+    counters: WorkCounters,
+) -> Set[StuckAtFault]:
+    _check_combinational_binary(circuit, vector)
     gates = circuit.gates
 
     values: Dict[int, int] = {}
@@ -106,14 +116,14 @@ def simulate_deductive(
     faults: Optional[Iterable[StuckAtFault]] = None,
 ) -> FaultSimResult:
     """Deductive simulation of a combinational test set (pattern = cycle)."""
-    fault_list = sorted(faults) if faults is not None else stuck_at_universe(circuit)
+    fault_list = target_faults(circuit, faults)
     universe = frozenset(fault_list)
     start = time.perf_counter()
     counters = WorkCounters()
     detected: Dict[Fault, int] = {}
     for cycle, vector in enumerate(vectors, start=1):
         counters.cycles += 1
-        for fault in deductive_detects(circuit, vector, universe, counters):
+        for fault in _detects(circuit, vector, universe, counters):
             detected.setdefault(fault, cycle)
     return FaultSimResult(
         engine="deductive",

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, X, ZERO, is_binary
 from repro.obs.tracer import Tracer
@@ -65,9 +65,7 @@ class ProofsSimulator(CycleEngine):
         if any(gate.gtype is GateType.MACRO for gate in circuit.gates):
             raise ValueError("PROOFS runs on flat circuits (no macro gates)")
         self.circuit = circuit
-        self.faults: List[StuckAtFault] = (
-            sorted(faults) if faults is not None else stuck_at_universe(circuit)
-        )
+        self.faults: List[StuckAtFault] = target_faults(circuit, faults)
         self.word_size = word_size
         self.tracer = tracer
         self.record_responses = record_responses

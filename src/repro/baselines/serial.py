@@ -18,8 +18,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit, evaluate_gate
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
-from repro.faults.transition import TransitionFault, all_transition_faults, delayed_value
-from repro.faults.universe import stuck_at_universe
+from repro.faults.transition import TransitionFault, delayed_value
+from repro.faults.universe import target_faults
 from repro.logic.values import X, is_binary
 from repro.result import Failure, FaultSimResult, MemoryStats, WorkCounters
 from repro.sim.logicsim import LogicSimulator
@@ -67,7 +67,7 @@ def simulate_serial(
     recording tracer reconciles exactly with the reported counters, same
     as every concurrent engine.
     """
-    fault_list = sorted(faults) if faults is not None else stuck_at_universe(circuit)
+    fault_list = target_faults(circuit, faults)
     return _run_machines(
         "serial",
         circuit,
@@ -268,9 +268,7 @@ def simulate_serial_transition(
 
     A ``budget`` bounds the run exactly as in :func:`simulate_serial`.
     """
-    fault_list = (
-        sorted(faults) if faults is not None else all_transition_faults(circuit)
-    )
+    fault_list = target_faults(circuit, faults, transition=True)
     return _run_machines(
         "serial-transition",
         circuit,

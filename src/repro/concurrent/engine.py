@@ -48,7 +48,7 @@ from repro.circuit.netlist import Circuit
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.options import SimOptions
 from repro.faults.model import OUTPUT_PIN, Fault, StuckAtFault
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.logic.tables import (
     GateType,
     MAX_TABLE_ARITY,
@@ -139,6 +139,8 @@ class ConcurrentFaultSimulator(CycleEngine):
         ``detected`` reports).
     """
 
+    #: The fault model the engine simulates (its default universe).
+    transition = False
     #: True during the transition engine's firing pass, when transition
     #: sites evaluate as completed (see ``_evaluate``).
     _firing = False
@@ -158,10 +160,11 @@ class ConcurrentFaultSimulator(CycleEngine):
             options = options.with_(drop_detected=False)
         self.options = options
         self.tracer = tracer
-        universe = self._default_universe(circuit) if faults is None else faults
         #: Sorted for deterministic fault ids (and so detection order never
         #: depends on how the caller built the list).
-        self.faults: List[StuckAtFault] = sorted(universe)
+        self.faults: List[StuckAtFault] = target_faults(
+            circuit, faults, transition=self.transition
+        )
         if macro is not None:
             # Caller-supplied macro transform (e.g. built along hierarchy
             # boundaries via extract_macros(..., preassigned=...)).
@@ -196,9 +199,6 @@ class ConcurrentFaultSimulator(CycleEngine):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-
-    def _default_universe(self, circuit: Circuit) -> List[StuckAtFault]:
-        return stuck_at_universe(circuit)
 
     def _build_descriptors(self) -> None:
         circuit = self.circuit

@@ -41,7 +41,7 @@ from repro.circuit.netlist import Circuit, evaluate_gate
 from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault, OUTPUT_PIN, StuckAtFault
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.logic.tables import GateType
 from repro.logic.values import X
 from repro.obs.tracer import Tracer
@@ -74,8 +74,7 @@ class ConcurrentEventFaultSimulator(CycleEngine):
         self.tracer = tracer
         self.delays = delays or unit_delays(circuit)
         self.options = options
-        universe = stuck_at_universe(circuit) if faults is None else faults
-        self.faults: List[StuckAtFault] = sorted(universe)
+        self.faults: List[StuckAtFault] = target_faults(circuit, faults)
         self.descriptors: List[FaultDescriptor] = []
         self.local_faults: Dict[int, List[int]] = {
             gate.index: [] for gate in circuit.gates

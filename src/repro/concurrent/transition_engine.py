@@ -47,11 +47,13 @@ from repro.concurrent.elements import Behavior, FaultDescriptor
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
 from repro.faults.model import Fault, OUTPUT_PIN
-from repro.faults.transition import TransitionFault, all_transition_faults, delay_rule
+from repro.faults.transition import TransitionFault, delay_rule
 
 
 class TransitionFaultSimulator(ConcurrentFaultSimulator):
     """Two-pass concurrent simulator for the transition-fault model."""
+
+    transition = True
 
     def __init__(
         self,
@@ -77,10 +79,7 @@ class TransitionFaultSimulator(ConcurrentFaultSimulator):
     def engine_name(self) -> str:
         return "csim-TV" if self.options.split_lists else "csim-T"
 
-    # -- universe / descriptors -------------------------------------------
-
-    def _default_universe(self, circuit: Circuit) -> List[TransitionFault]:
-        return all_transition_faults(circuit)
+    # -- descriptors ------------------------------------------------------
 
     def _make_descriptor(self, fid: int, fault: TransitionFault) -> FaultDescriptor:
         return FaultDescriptor(

@@ -1,4 +1,7 @@
-"""Fault models: stuck-at faults, equivalence collapsing, transition faults."""
+"""Fault models: stuck-at and transition faults, and the universes runs target.
+
+Equivalence and dominance collapsing live in :mod:`repro.analyze.collapse`.
+"""
 
 from repro.faults.model import (
     OUTPUT_PIN,
@@ -8,9 +11,7 @@ from repro.faults.model import (
     StuckAtFault,
     fault_name,
 )
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
-from repro.faults.collapse import collapse_stuck_at, equivalence_classes
-from repro.faults.dominance import dominance_collapse
+from repro.faults.universe import all_stuck_at_faults, stuck_at_universe, target_faults
 from repro.faults.transition import (
     TransitionFault,
     all_transition_faults,
@@ -26,9 +27,7 @@ __all__ = [
     "fault_name",
     "all_stuck_at_faults",
     "stuck_at_universe",
-    "collapse_stuck_at",
-    "equivalence_classes",
-    "dominance_collapse",
+    "target_faults",
     "TransitionFault",
     "all_transition_faults",
     "delayed_value",

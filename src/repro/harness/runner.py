@@ -16,7 +16,7 @@ from repro.circuit.netlist import Circuit
 from repro.concurrent.options import SimOptions
 from repro.faults.model import StuckAtFault
 from repro.faults.transition import all_transition_faults
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.obs.tracer import Tracer
 from repro.patterns.atpg import generate_tests
 from repro.patterns.random_gen import random_sequence
@@ -27,13 +27,9 @@ from repro.plan import (  # ENGINE_NAMES/WORD_ENGINES re-exported for callers
     RunPlan,
     engine_options,
     execute,
-    make_simulator,
     sanitized_options,
 )
 from repro.result import FaultSimResult
-
-#: The engine factory under its historical name.
-make_stuck_at_simulator = make_simulator
 
 
 def run_stuck_at(
@@ -151,7 +147,7 @@ def compare_engines(
     ``sanitize`` arms the fault-list sanitizer on every concurrent engine
     in the lineup (engines without fault lists run unchanged).
     """
-    fault_list = sorted(faults) if faults is not None else stuck_at_universe(circuit)
+    fault_list = target_faults(circuit, faults)
     results = [
         run_stuck_at(
             circuit,

@@ -41,7 +41,6 @@ from repro.parallel.sharding import (
     STRATEGIES,
     activity_weights,
     shard_faults,
-    shard_summary,
 )
 
 __all__ = [
@@ -58,6 +57,5 @@ __all__ = [
     "run_parallel",
     "shard_checkpoint_path",
     "shard_faults",
-    "shard_summary",
     "simulate_shard",
 ]

@@ -33,7 +33,7 @@ Three strategies, all deterministic for a given (circuit, universe, K):
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
@@ -121,14 +121,3 @@ def shard_faults(
         shards = _round_robin(faults, min(jobs, len(faults)))
     return [shard for shard in shards if shard]
 
-
-def shard_summary(shards: List[List[Fault]], circuit: Circuit) -> List[Dict[str, int]]:
-    """Per-shard size/weight table (for logs and the scaling benchmark)."""
-    cone = activity_weights(circuit)
-    return [
-        {
-            "faults": len(shard),
-            "weight": sum(cone[fault.gate] for fault in shard),
-        }
-        for shard in shards
-    ]

@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.netlist import Circuit, evaluate_gate
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.logic.values import ONE, X, ZERO, is_binary
 from repro.patterns.vectors import TestSequence
 
@@ -193,7 +193,7 @@ def generate_deterministic_tests(
     _check_combinational(circuit)
     from repro.baselines.deductive import deductive_detects
 
-    fault_list = sorted(faults) if faults is not None else stuck_at_universe(circuit)
+    fault_list = target_faults(circuit, faults)
     remaining: Set[StuckAtFault] = set(fault_list)
     tests = TestSequence(len(circuit.inputs))
     redundant: List[StuckAtFault] = []

@@ -23,13 +23,14 @@ from repro.circuit.netlist import Circuit
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
 from repro.faults.model import StuckAtFault
+from repro.faults.universe import target_faults
 from repro.patterns.vectors import TestSequence
 
 _OPTIONS = SimOptions(split_lists=True)
 
 
 def _coverage_count(
-    circuit: Circuit, vectors: List[tuple], faults: Optional[Iterable[StuckAtFault]]
+    circuit: Circuit, vectors: List[tuple], faults: List[StuckAtFault]
 ) -> int:
     simulator = ConcurrentFaultSimulator(circuit, faults, _OPTIONS)
     for vector in vectors:
@@ -69,7 +70,7 @@ def remove_redundant_blocks(
     the remaining sequence still detects the same number of faults.
     Returns the compacted sequence and the number of simulations spent.
     """
-    fault_list = sorted(faults) if faults is not None else None
+    fault_list = target_faults(circuit, faults)
     vectors = list(tests.vectors)
     target = _coverage_count(circuit, vectors, fault_list)
     simulations = 1

@@ -41,8 +41,7 @@ from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import SimOptions
 from repro.concurrent.transition_engine import TransitionFaultSimulator
 from repro.faults.model import Fault
-from repro.faults.transition import all_transition_faults
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.patterns.vectors import TestSequence
 from repro.result import FaultSimResult
 
@@ -292,9 +291,10 @@ def resolve_faults(
 ) -> Tuple[List[Fault], Optional["CollapsedUniverse"]]:
     """The fault list a campaign simulates, and the map to expand it back.
 
-    The base list is *faults*; without it, the full pin-level universe
-    when collapsing (every pin fault then gets its result by exact class
-    inheritance) and the model's default universe otherwise.  ``prune``
+    The base list is :func:`~repro.faults.universe.target_faults` of
+    *faults*; without them, the full pin-level universe when collapsing
+    (every pin fault then gets its result by exact class inheritance) and
+    the model's default universe otherwise.  ``prune``
     drops the provably untestable faults, then ``collapse``
     (``"equivalence"``/``"dominance"``) reduces the survivors to class
     representatives — pruning first drops whole classes, since equivalent
@@ -302,14 +302,9 @@ def resolve_faults(
     ``collapsed`` being ``None`` without ``collapse``; ``log`` receives
     the prune and collapse summary lines.
     """
-    if faults is None:
-        if transition:
-            faults = all_transition_faults(circuit)
-        elif collapse is not None:
-            faults = all_stuck_at_faults(circuit)
-        else:
-            faults = stuck_at_universe(circuit)
-    universe = list(faults)
+    universe = target_faults(
+        circuit, faults, transition=transition, pin_level=collapse is not None
+    )
     if prune:
         from repro.analyze.untestable import prune_untestable
 

@@ -21,7 +21,7 @@ import random
 
 from repro.baselines.serial import simulate_serial
 from repro.circuit.netlist import Circuit
-from repro.faults.universe import stuck_at_universe
+from repro.faults.universe import target_faults
 from repro.plan import make_simulator
 from repro.logic.values import is_binary
 from repro.patterns.vectors import TestSequence
@@ -59,7 +59,7 @@ def oracle_spot_check(
     match ``result.detected`` exactly — same cycle, or absent from both.
     Returns one record per discrepancy; empty means the sample agrees.
     """
-    universe = sorted(faults) if faults is not None else stuck_at_universe(circuit)
+    universe = target_faults(circuit, faults)
     if not universe:
         return []
     rng = random.Random(seed)

@@ -1,19 +1,18 @@
-"""Dominance collapsing, test compaction post-processing, VCD export."""
+"""Dominance collapsing and test compaction post-processing."""
 
-import io
 import random
 
 import pytest
 
+from repro.analyze.collapse import collapse_universe
 from repro.baselines.deductive import deductive_detects
 from repro.circuit.generate import random_circuit
 from repro.circuit.library import load
 from repro.circuit.netlist import CircuitBuilder
 from repro.concurrent.engine import ConcurrentFaultSimulator
 from repro.concurrent.options import CSIM_V
-from repro.faults.collapse import collapse_stuck_at
-from repro.faults.dominance import dominance_collapse
-from repro.faults.universe import all_stuck_at_faults, stuck_at_universe
+from repro.faults.model import OUTPUT_PIN, StuckAtFault
+from repro.faults.universe import stuck_at_universe
 from repro.logic.tables import GateType
 from repro.logic.values import ONE, ZERO
 from repro.patterns.postprocess import (
@@ -22,12 +21,11 @@ from repro.patterns.postprocess import (
     trim_to_coverage_prefix,
 )
 from repro.patterns.random_gen import random_sequence
-from repro.sim.delays import DelayModel
-from repro.sim.eventsim import EventSimulator
-from repro.sim.vcd import write_vcd
 
 
 class TestDominance:
+    """FFR dominance drops of :func:`repro.analyze.collapse.collapse_universe`."""
+
     def test_and_gate_output_sa1_dropped(self):
         builder = CircuitBuilder("and2")
         builder.add_input("a")
@@ -36,17 +34,15 @@ class TestDominance:
         builder.set_output("g")
         circuit = builder.build()
         g = circuit.index_of("g")
-        faults = all_stuck_at_faults(circuit)
-        reduced = dominance_collapse(circuit, faults)
-        from repro.faults.model import OUTPUT_PIN, StuckAtFault
+        collapsed = collapse_universe(circuit, mode="dominance")
 
-        assert StuckAtFault.make(g, OUTPUT_PIN, 1) not in reduced
-        assert StuckAtFault.make(g, 0, 1) in reduced
+        assert StuckAtFault.make(g, OUTPUT_PIN, 1) in collapsed.implied_by
+        assert StuckAtFault.make(g, 0, 1) in collapsed.member_to_rep
 
     def test_reduces_after_equivalence(self):
         circuit = load("s27")
-        equivalent = collapse_stuck_at(circuit, all_stuck_at_faults(circuit))
-        dominated = dominance_collapse(circuit, equivalent)
+        equivalent = collapse_universe(circuit).representatives
+        dominated = collapse_universe(circuit, mode="dominance").representatives
         assert len(dominated) < len(equivalent)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -55,25 +51,16 @@ class TestDominance:
         dominance pair also detects the dropped dominator."""
         rng = random.Random(seed + 60)
         circuit = random_circuit(rng, num_gates=12, num_dffs=0, name=f"dom{seed}")
-        full = all_stuck_at_faults(circuit)
-        reduced = set(dominance_collapse(circuit, full))
-        dropped = [fault for fault in full if fault not in reduced]
-        from repro.faults.dominance import _DOMINANCE_RULES
-        from repro.faults.model import OUTPUT_PIN, StuckAtFault
+        collapsed = collapse_universe(circuit, mode="dominance")
+        full = list(collapsed.universe)
 
         for vector_seed in range(6):
             vector = tuple(
                 rng.choice((ZERO, ONE)) for _ in circuit.inputs
             )
             detected = deductive_detects(circuit, vector, full)
-            for dominator in dropped:
-                gate = circuit.gates[dominator.gate]
-                input_value, _ = _DOMINANCE_RULES[gate.gtype]
-                dominated_detected = any(
-                    StuckAtFault.make(gate.index, pin, input_value) in detected
-                    for pin in range(gate.arity)
-                )
-                if dominated_detected:
+            for dominator, impliers in collapsed.implied_by.items():
+                if any(implier in detected for implier in impliers):
                     assert dominator in detected
 
 
@@ -132,61 +119,3 @@ class TestPostprocess:
         tests = TestSequence(4, [(X, X, X, X)])
         trimmed = trim_to_coverage_prefix(circuit, tests)
         assert len(trimmed) == 0
-
-
-class TestVcd:
-    def _hazard_sim(self):
-        builder = CircuitBuilder("hazard")
-        builder.add_input("a")
-        builder.add_gate("n", GateType.NOT, ["a"])
-        builder.add_gate("g", GateType.AND, ["a", "n"])
-        builder.set_output("g")
-        circuit = builder.build()
-        delays = DelayModel(circuit, {circuit.index_of("n"): 5, circuit.index_of("g"): 1})
-        sim = EventSimulator(circuit, delays, record=True)
-        sim.set_input(0, ZERO, at_time=0)
-        sim.run()
-        sim.set_input(0, ONE, at_time=sim.time + 1)
-        sim.run()
-        return circuit, sim
-
-    def test_requires_recording(self):
-        circuit = load("s27")
-        sim = EventSimulator(circuit)
-        with pytest.raises(ValueError, match="record=True"):
-            write_vcd(sim, io.StringIO())
-
-    def test_header_and_changes(self):
-        circuit, sim = self._hazard_sim()
-        out = io.StringIO()
-        changes = write_vcd(sim, out)
-        text = out.getvalue()
-        assert "$enddefinitions" in text
-        assert "$var wire 1" in text
-        assert changes == len(sim.trace)
-        # The hazard pulse on g must appear: a 1 then a 0 on g's id.
-        g_id = None
-        for line in text.splitlines():
-            if line.endswith(" g $end"):
-                g_id = line.split()[3]
-        assert g_id is not None
-        assert f"1{g_id}" in text and f"0{g_id}" in text
-
-    def test_signal_filter(self):
-        circuit, sim = self._hazard_sim()
-        out = io.StringIO()
-        write_vcd(sim, out, signals=["g"])
-        text = out.getvalue()
-        assert " g $end" in text
-        assert " n $end" not in text
-
-    def test_time_markers_monotone(self):
-        circuit, sim = self._hazard_sim()
-        out = io.StringIO()
-        write_vcd(sim, out)
-        times = [
-            int(line[1:])
-            for line in out.getvalue().splitlines()
-            if line.startswith("#")
-        ]
-        assert times == sorted(times)

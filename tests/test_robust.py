@@ -406,16 +406,16 @@ class TestRunCheckpointed:
 
 class TestInvariants:
     def test_clean_run_has_no_violations(self, s27, s27_tests):
-        from repro.harness.runner import make_stuck_at_simulator
+        from repro.plan import make_simulator
 
-        simulator = make_stuck_at_simulator(s27, "csim-MV")
+        simulator = make_simulator(s27, "csim-MV")
         simulator.run(s27_tests)
         assert verify_invariants(simulator) == []
 
     def test_violations_reported(self, s27, s27_tests):
-        from repro.harness.runner import make_stuck_at_simulator
+        from repro.plan import make_simulator
 
-        simulator = make_stuck_at_simulator(s27, "csim-MV")
+        simulator = make_simulator(s27, "csim-MV")
         for vector in s27_tests.vectors[:3]:
             simulator.step(vector)
         simulator.vis[0][999] = 7  # a brand-new element the counter missed

@@ -20,12 +20,12 @@ from repro.faults.universe import stuck_at_universe
 from repro.harness.runner import (
     ENGINE_NAMES,
     WORD_ENGINES,
-    make_stuck_at_simulator,
     run_stuck_at,
 )
 from repro.logic.tables import GateType, evaluate
 from repro.logic.values import ONE, VALUES, X, ZERO
 from repro.patterns.random_gen import random_sequence
+from repro.plan import make_simulator
 from repro.vector import plane
 from repro.vector.kernel import ENGINE_NAME, VectorFaultSimulator
 from repro.vector.packing import (
@@ -290,7 +290,7 @@ class TestHarnessIntegration:
         assert ENGINE_NAME in WORD_ENGINES
 
     def test_make_simulator_passes_width(self, s27):
-        simulator = make_stuck_at_simulator(s27, "vsim", word_width=16)
+        simulator = make_simulator(s27, "vsim", word_width=16)
         assert isinstance(simulator, VectorFaultSimulator)
         assert simulator.word_width == 16
 
